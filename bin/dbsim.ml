@@ -8,33 +8,89 @@ let setup_logs level =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level level
 
-let clients_arg =
-  Arg.(value & opt int 30 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
+let error_line msg = Printf.sprintf "dbsim: error: %s (try 'dbsim --help')" msg
+
+(* Bad input found after parsing (conflicting flags, a config a scenario
+   rejects) exits like a cmdliner parse error: one structured stderr
+   line, exit 124, before any simulation starts. *)
+let cli_error msg =
+  prerr_endline (error_line msg);
+  exit Cmd.Exit.cli_error
+
+(* [conv] restricted to values above [zero]: an out-of-range value is a
+   parse error, just like a malformed one. *)
+let positive ~zero ~expected conv =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when compare v zero > 0 -> Ok v
+    | Ok _ ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+
+let positive_int = positive ~zero:0 ~expected:"a positive integer" Arg.int
+let positive_float = positive ~zero:0. ~expected:"a positive number" Arg.float
+
+(* Flags several commands share, each with its own default. *)
+
+let clients_arg ?(doc = "Number of concurrent clients.") default =
+  Arg.(value & opt int default & info [ "clients"; "c" ] ~doc)
+
+let warmup_arg ?(doc = "Warm-up seconds (excluded from results).") default =
+  Arg.(value & opt float default & info [ "warmup" ] ~doc)
+
+let measure_arg ?(doc = "Measured window, seconds.") default =
+  Arg.(value & opt positive_float default & info [ "measure" ] ~doc)
+
+let slice_arg default =
+  Arg.(
+    value & opt positive_float default
+    & info [ "slice" ] ~doc:"Time-slice width for throughput, seconds.")
+
+let think_arg ?(doc = "Client think time, seconds (mean).") default =
+  Arg.(value & opt float default & info [ "think" ] ~doc)
+
+let variants_arg
+    ?(doc = "Parameterized (cacheable) query templates in the workload.")
+    default =
+  Arg.(value & opt int default & info [ "variants" ] ~doc)
+
+let shards_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "shards" ] ~doc:"Number of shards (failure domains).")
+
+(* Machine memory: GiB on the command line, bytes in the configs. *)
+let gib_arg name ~doc default_bytes =
+  Arg.(
+    value
+    & opt positive_float (Dbmem.Units.to_gib default_bytes)
+    & info [ name ] ~doc)
+
+let bytes_of_gib g = int_of_float (g *. float_of_int (Dbmem.Units.gib 1))
 
 let throttle_arg =
   Arg.(value & opt bool true & info [ "throttle" ] ~doc:"Enable compilation throttling.")
-
-let warmup_arg =
-  Arg.(value & opt float 600. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
-
-let measure_arg =
-  Arg.(value & opt float 1800. & info [ "measure" ] ~doc:"Measured window, seconds.")
-
-let slice_arg =
-  Arg.(value & opt float 60. & info [ "slice" ] ~doc:"Time-slice width for throughput, seconds.")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
 
 let jobs_arg =
   Arg.(
     value
-    & opt int 1
+    & opt positive_int 1
     & info [ "jobs"; "j" ]
         ~env:(Cmd.Env.info "DBSIM_JOBS")
         ~doc:
           "Domains to fan independent runs across (1 = sequential). Each \
            run is deterministic given its seed, so the output is the same \
            at any job count.")
+
+let workload_arg =
+  Arg.(
+    value
+    & opt (enum [ ("sales", `Sales); ("snowflake", `Snowflake); ("tpch", `Tpch) ]) `Sales
+    & info [ "workload" ] ~doc:"Workload: sales, snowflake or tpch.")
 
 let csv_arg =
   Arg.(
@@ -43,17 +99,21 @@ let csv_arg =
     & info [ "csv" ] ~docv:"PREFIX"
         ~doc:"Also write results as CSV files named PREFIX-*.csv.")
 
-let write_csv path header rows =
+(* Every file the CLI writes goes through here and is announced on
+   stdout. *)
+let write_file path f =
   let oc = open_out path in
-  output_string oc (String.concat "," header);
-  output_char oc '\n';
-  List.iter
-    (fun row ->
-      output_string oc (String.concat "," row);
-      output_char oc '\n')
-    rows;
+  f oc;
   close_out oc;
   Printf.printf "wrote %s\n" path
+
+let write_csv path header rows =
+  write_file path (fun oc ->
+      List.iter
+        (fun row ->
+          output_string oc (String.concat "," row);
+          output_char oc '\n')
+        (header :: rows))
 
 let csv_of_slices path slices =
   write_csv path [ "slice_start_s"; "completions" ]
@@ -138,12 +198,15 @@ let run_verbose ~clients ~throttle ~warmup ~measure ~slice ~seed =
     Sim.Stats.Online.pp (Server.Metrics.exec_time m);
   ignore slice
 
+
 let verbose_cmd =
   let action clients throttle warmup measure slice seed =
     run_verbose ~clients ~throttle ~warmup ~measure ~slice ~seed
   in
   Cmd.v (Cmd.info "verbose" ~doc:"Single run with resource diagnostics.")
-    Term.(const action $ clients_arg $ throttle_arg $ warmup_arg $ measure_arg $ slice_arg $ seed_arg)
+    Term.(
+      const action $ clients_arg 30 $ throttle_arg $ warmup_arg 600.
+      $ measure_arg 1800. $ slice_arg 60. $ seed_arg)
 
 let run_cmd =
   let action clients throttle warmup measure slice seed csv =
@@ -170,7 +233,9 @@ let run_cmd =
         csv_of_memory (prefix ^ "-memory.csv") r.Server.Experiment.memory_series
   in
   Cmd.v (Cmd.info "run" ~doc:"Run the SALES benchmark once.")
-    Term.(const action $ clients_arg $ throttle_arg $ warmup_arg $ measure_arg $ slice_arg $ seed_arg $ csv_arg)
+    Term.(
+      const action $ clients_arg 30 $ throttle_arg $ warmup_arg 600.
+      $ measure_arg 1800. $ slice_arg 60. $ seed_arg $ csv_arg)
 
 let compare_cmd =
   let action clients warmup measure slice seed csv jobs =
@@ -200,8 +265,8 @@ let compare_cmd =
   Cmd.v
     (Cmd.info "compare" ~doc:"Throttled vs unthrottled at one client count (Figures 3-5).")
     Term.(
-      const action $ clients_arg $ warmup_arg $ measure_arg $ slice_arg
-      $ seed_arg $ csv_arg $ jobs_arg)
+      const action $ clients_arg 30 $ warmup_arg 600. $ measure_arg 1800.
+      $ slice_arg 60. $ seed_arg $ csv_arg $ jobs_arg)
 
 let sweep_cmd =
   let list_arg =
@@ -226,18 +291,12 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Sweep client counts (peak-throughput claim).")
     Term.(
-      const action $ list_arg $ throttle_arg $ warmup_arg $ measure_arg
-      $ slice_arg $ seed_arg $ jobs_arg)
+      const action $ list_arg $ throttle_arg $ warmup_arg 600.
+      $ measure_arg 1800. $ slice_arg 60. $ seed_arg $ jobs_arg)
 
 let sql_cmd =
   let count_arg =
     Arg.(value & opt int 2 & info [ "count"; "n" ] ~doc:"Number of instances to print.")
-  in
-  let workload_arg =
-    Arg.(
-      value
-      & opt (enum [ ("sales", `Sales); ("snowflake", `Snowflake); ("tpch", `Tpch) ]) `Sales
-      & info [ "workload" ] ~doc:"Workload: sales, snowflake or tpch.")
   in
   let action count workload seed =
     let templates =
@@ -258,15 +317,6 @@ let sql_cmd =
     Term.(const action $ count_arg $ workload_arg $ seed_arg)
 
 let chaos_cmd =
-  let clients_arg =
-    Arg.(value & opt int 35 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
-  in
-  let warmup_arg =
-    Arg.(value & opt float 60. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
-  in
-  let measure_arg =
-    Arg.(value & opt float 1000. & info [ "measure" ] ~doc:"Measured window, seconds.")
-  in
   let ballast_gib =
     Arg.(
       value
@@ -301,15 +351,6 @@ let chaos_cmd =
       & info [ "glitch" ]
           ~doc:"Transient allocation-failure probability during the spike window (0 = none).")
   in
-  let think_arg =
-    Arg.(value & opt float 100. & info [ "think" ] ~doc:"Client mean think time, seconds.")
-  in
-  let workload_arg =
-    Arg.(
-      value
-      & opt (enum [ ("sales", `Sales); ("snowflake", `Snowflake); ("tpch", `Tpch) ]) `Sales
-      & info [ "workload" ] ~doc:"Workload: sales, snowflake or tpch.")
-  in
   let action clients warmup measure slice seed ballast_gib ballast_at
       ballast_hold ballast_steps ballast_step_s storm burst glitch think
       workload jobs =
@@ -325,9 +366,7 @@ let chaos_cmd =
     let faults =
       (if ballast_gib > 0. then
          Faultsim.Fault.pressure_spike ~ramp_steps:ballast_steps
-           ~step_s:ballast_step_s ~at
-           ~bytes:(int_of_float (ballast_gib *. float_of_int (Dbmem.Units.gib 1)))
-           ~hold ()
+           ~step_s:ballast_step_s ~at ~bytes:(bytes_of_gib ballast_gib) ~hold ()
        else [])
       @ (if storm then
            [ Faultsim.Fault.Disk_storm
@@ -381,9 +420,10 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:"Run a fault schedule with resilience on vs off (graceful-degradation demo).")
     Term.(
-      const action $ clients_arg $ warmup_arg $ measure_arg $ slice_arg
-      $ seed_arg $ ballast_gib $ ballast_at $ ballast_hold $ ballast_steps
-      $ ballast_step_s $ storm_arg $ burst_arg $ glitch_arg $ think_arg
+      const action $ clients_arg 35 $ warmup_arg 60. $ measure_arg 1000.
+      $ slice_arg 60. $ seed_arg $ ballast_gib $ ballast_at $ ballast_hold
+      $ ballast_steps $ ballast_step_s $ storm_arg $ burst_arg $ glitch_arg
+      $ think_arg ~doc:"Client mean think time, seconds." 100.
       $ workload_arg $ jobs_arg)
 
 let trace_cmd =
@@ -403,17 +443,6 @@ let trace_cmd =
       & opt string "trace"
       & info [ "out"; "o" ] ~docv:"PREFIX"
           ~doc:"Write PREFIX.json (Chrome trace-event) and PREFIX.jsonl.")
-  in
-  let trace_clients_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "clients"; "c" ]
-          ~doc:"Concurrent clients (server scenario only).")
-  in
-  let trace_measure_arg =
-    Arg.(
-      value & opt float 240.
-      & info [ "measure" ] ~doc:"Simulated seconds (server scenario only).")
   in
   let action scenario out clients measure seed =
     let trace = Obs.Trace.create () in
@@ -464,26 +493,83 @@ let trace_cmd =
          "Record a query-lifecycle trace and export it as Chrome \
           trace-event JSON + JSONL.")
     Term.(
-      const action $ scenario_arg $ out_arg $ trace_clients_arg
-      $ trace_measure_arg $ seed_arg)
+      const action $ scenario_arg $ out_arg
+      $ clients_arg ~doc:"Concurrent clients (server scenario only)." 12
+      $ measure_arg ~doc:"Simulated seconds (server scenario only)." 240.
+      $ seed_arg)
+
+(* ------------------------------------------------------------------ *)
+(* Scenario commands: health, tenants, shards, storm and cache all run
+   a few configurations ("arms") per seed, print each seed's comparison,
+   and can write a per-seed report and a Chrome trace of one cell. The
+   flags and the fan-out for that live here once; each command is a
+   spec of its arms, printer and report. *)
+
+type fan = {
+  seeds : int list;
+  jobs : int;
+  out : string option;  (** report FILE *)
+  trace : string option;  (** Chrome trace PREFIX *)
+}
 
 (* A repeated seed in --seeds would make two runs race to the same
    per-seed report file, one silently overwriting the other; reject the
-   list up front, before any simulation, with the structured one-line
-   error. *)
+   list up front, before any simulation. *)
 let check_duplicate_seeds seeds =
   let seen = Hashtbl.create 8 in
   List.iter
     (fun s ->
-      if Hashtbl.mem seen s then begin
-        prerr_endline
-          (Printf.sprintf
-             "dbsim: error: duplicate seed %d in --seeds (try 'dbsim --help')"
-             s);
-        exit Cmd.Exit.cli_error
-      end;
+      if Hashtbl.mem seen s then
+        cli_error (Printf.sprintf "duplicate seed %d in --seeds" s);
       Hashtbl.add seen s ())
     seeds
+
+(* --seed/--seeds, --jobs, --out and (when [traced] describes the traced
+   cell and what its trace shows) --trace. [runs] and [report] fill in
+   the help text. The seed list is checked as the flags are evaluated,
+   so a duplicate is reported before any command-specific conflict. *)
+let fan_term ~runs ~report ?traced () =
+  let seeds =
+    Arg.(
+      value
+      & opt (list int) []
+      & info [ "seeds" ]
+          ~doc:
+            (Printf.sprintf
+               "Run %s at each of these seeds (overrides --seed); the \
+                independent runs fan out across --jobs domains."
+               runs))
+  in
+  let out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "out"; "o" ] ~docv:"FILE"
+          ~doc:
+            (Printf.sprintf
+               "Also write %s to FILE (CI artifact). With several \
+                $(b,--seeds), -seedN is inserted before the extension."
+               report))
+  in
+  let trace =
+    match traced with
+    | None -> Term.const None
+    | Some (cell, shows) ->
+        Arg.(
+          value
+          & opt (some string) None
+          & info [ "trace" ] ~docv:"PREFIX"
+              ~doc:
+                (Printf.sprintf
+                   "Additionally re-run %s with tracing and write \
+                    PREFIX-seedN.json Chrome traces (%s)."
+                   cell shows))
+  in
+  let make seed seeds jobs out trace =
+    check_duplicate_seeds seeds;
+    { seeds = (if seeds = [] then [ seed ] else seeds); jobs; out; trace }
+  in
+  Term.(const make $ seed_arg $ seeds $ jobs_arg $ out $ trace)
 
 (* FILE as given for a single-seed run, FILE-seedN.ext otherwise. *)
 let seed_out_path ~multi out seed =
@@ -498,16 +584,58 @@ let seed_out_path ~multi out seed =
             (Printf.sprintf "%s-seed%d%s"
                (Filename.remove_extension path) seed ext))
 
+(* Run [arms seed] for every seed and return all outcomes in seed order.
+   Every cell (the traced ones included) passes [validate] before any
+   simulation starts; an [Invalid_argument] from it is bad input and
+   exits through [cli_error]. Errors from [run] propagate untouched.
+   Cells fan out over --jobs domains; per seed, in order, [print] shows
+   the seed's outcomes, [report] writes them to the --out file, and the
+   cell [traced seed] is re-run with tracing into PREFIX-seedN.json. *)
+let fan_out fan ~arms ?(validate = ignore)
+    ~(run : ?trace:Obs.Trace.t -> 'c -> 'o) ~print ~report ?traced () =
+  let traced =
+    match (fan.trace, traced) with
+    | Some prefix, Some pick -> Some (prefix, pick)
+    | _ -> None
+  in
+  let cells =
+    List.concat_map
+      (fun seed -> List.map (fun c -> (seed, c)) (arms seed))
+      fan.seeds
+  in
+  let picked =
+    match traced with Some (_, pick) -> List.map pick fan.seeds | None -> []
+  in
+  (try List.iter validate (List.map snd cells @ picked)
+   with Invalid_argument msg -> cli_error msg);
+  let outcomes =
+    Parallel.Pool.run ~jobs:fan.jobs (fun (seed, c) -> (seed, run c)) cells
+  in
+  let multi = List.length fan.seeds > 1 in
+  List.concat_map
+    (fun seed ->
+      (* Seeds are unique, so a seed's outcomes are those tagged with it. *)
+      let mine =
+        List.filter_map
+          (fun (s, o) -> if s = seed then Some o else None)
+          outcomes
+      in
+      print seed mine;
+      Option.iter
+        (fun path -> write_file path (fun oc -> report oc seed mine))
+        (seed_out_path ~multi fan.out seed);
+      Option.iter
+        (fun (prefix, pick) ->
+          let trace = Obs.Trace.create () in
+          ignore (run ~trace (pick seed));
+          let path = Printf.sprintf "%s-seed%d.json" prefix seed in
+          Obs.Export.chrome_to_file path (Obs.Trace.records trace);
+          Printf.printf "wrote %s\n" path)
+        traced;
+      mine)
+    fan.seeds
+
 let health_cmd =
-  let clients_arg =
-    Arg.(value & opt int 35 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
-  in
-  let warmup_arg =
-    Arg.(value & opt float 60. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from the report).")
-  in
-  let measure_arg =
-    Arg.(value & opt float 1000. & info [ "measure" ] ~doc:"Measured window, seconds.")
-  in
   let drain_arg =
     Arg.(
       value & opt float 900.
@@ -529,25 +657,7 @@ let health_cmd =
           ~doc:"Allocation-failure probability on the compile clerk during \
                 the spike window (0 = ballast only).")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Also write the health report to FILE (CI artifact). With \
-             several $(b,--seeds), -seedN is inserted before the extension.")
-  in
-  let seeds_arg =
-    Arg.(
-      value
-      & opt (list int) []
-      & info [ "seeds" ]
-          ~doc:
-            "Run the schedule at each of these seeds (overrides --seed); \
-             the independent runs fan out across --jobs domains.")
-  in
-  let action clients warmup measure drain resilience glitch seed out seeds jobs =
+  let action clients warmup measure drain resilience glitch fan =
     let config =
       if resilience then Server.Config.supervised ()
       else
@@ -557,53 +667,37 @@ let health_cmd =
         }
     in
     let faults = Server.Scenario.chaos_faults ~glitch () in
-    check_duplicate_seeds seeds;
-    let seeds = match seeds with [] -> [ seed ] | l -> l in
-    let run_seed seed =
+    let run ?trace seed =
       Server.Scenario.run_chaos ~config ~faults ~seed ~clients ~warmup
-        ~measure ~drain ()
+        ~measure ~drain ?trace ()
     in
-    let outcomes =
-      if jobs <= 1 then List.map run_seed seeds
-      else Parallel.Pool.run ~jobs run_seed seeds
+    let print seed =
+      List.iter (fun (o : Server.Scenario.outcome) ->
+          Printf.printf "Chaos schedule (%d clients, seed %d, %s):\n" clients seed
+            (if resilience then "supervision + resilience"
+             else "supervision only");
+          List.iter (fun f -> Printf.printf "  %s\n" (Faultsim.Fault.label f)) o.faults;
+          print_newline ();
+          Format.printf "%a@." Health.Report.pp o.report;
+          let stuck = Health.Report.stuck o.report in
+          Printf.printf "\n  stuck queries: %d%s\n" stuck
+            (if stuck = 0 then "" else "  <-- SUPERVISION FAILURE"))
     in
-    let multi = List.length seeds > 1 in
-    let out_for = seed_out_path ~multi out in
-    let any_stuck = ref false in
-    List.iter2
-      (fun seed o ->
-        Printf.printf "Chaos schedule (%d clients, seed %d, %s):\n" clients seed
-          (if resilience then "supervision + resilience"
-           else "supervision only");
-        List.iter
-          (fun f -> Printf.printf "  %s\n" (Faultsim.Fault.label f))
-          o.Server.Scenario.faults;
-        print_newline ();
-        Format.printf "%a@." Health.Report.pp o.Server.Scenario.report;
-        let r = o.Server.Scenario.report in
-        Printf.printf "\n  stuck queries: %d%s\n" (Health.Report.stuck r)
-          (if Health.Report.stuck r = 0 then ""
-           else "  <-- SUPERVISION FAILURE");
-        (match out_for seed with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            let ppf = Format.formatter_of_out_channel oc in
-            Format.fprintf ppf "%a@." Health.Report.pp r;
-            close_out oc;
-            Printf.printf "wrote %s\n" path);
-        if Health.Report.stuck r > 0 then any_stuck := true)
-      seeds outcomes;
-    if multi then begin
-      let stuck_total =
-        List.fold_left
-          (fun acc o -> acc + Health.Report.stuck o.Server.Scenario.report)
-          0 outcomes
-      in
+    let report oc _ =
+      List.iter (fun (o : Server.Scenario.outcome) ->
+          Format.fprintf (Format.formatter_of_out_channel oc) "%a@."
+            Health.Report.pp o.report)
+    in
+    let outcomes = fan_out fan ~arms:(fun seed -> [ seed ]) ~run ~print ~report () in
+    let stuck =
+      List.fold_left
+        (fun acc o -> acc + Health.Report.stuck o.Server.Scenario.report)
+        0 outcomes
+    in
+    if List.length fan.seeds > 1 then
       Printf.printf "\n%d seeds run, %d stuck queries total\n"
-        (List.length seeds) stuck_total
-    end;
-    if !any_stuck then exit 3
+        (List.length fan.seeds) stuck;
+    if stuck > 0 then exit 3
   in
   Cmd.v
     (Cmd.info "health"
@@ -611,126 +705,76 @@ let health_cmd =
          "Run the canonical chaos schedule under the supervision layer and \
           print the health report with the error-budget table.")
     Term.(
-      const action $ clients_arg $ warmup_arg $ measure_arg $ drain_arg
-      $ resilience_arg $ glitch_arg $ seed_arg $ out_arg $ seeds_arg
-      $ jobs_arg)
+      const action $ clients_arg 35
+      $ warmup_arg ~doc:"Warm-up seconds (excluded from the report)." 60.
+      $ measure_arg 1000. $ drain_arg $ resilience_arg $ glitch_arg
+      $ fan_term ~runs:"the schedule" ~report:"the health report" ())
 
 let tenants_cmd =
-  let warmup_arg =
-    Arg.(value & opt float 400. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
-  in
-  let measure_arg =
-    Arg.(value & opt float 1200. & info [ "measure" ] ~doc:"Measured window, seconds.")
-  in
-  let total_gib_arg =
-    Arg.(
-      value & opt float 4.
-      & info [ "total-gib" ]
-          ~doc:"Machine memory split across the tenant pools, GiB.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Also write a per-seed tenant report to FILE (CI artifact). \
-             With several $(b,--seeds), -seedN is inserted before the \
-             extension.")
-  in
-  let seeds_arg =
-    Arg.(
-      value
-      & opt (list int) []
-      & info [ "seeds" ]
-          ~doc:
-            "Run the experiment at each of these seeds (overrides --seed); \
-             the independent runs fan out across --jobs domains.")
-  in
-  let action warmup measure slice seed seeds total_gib out jobs =
-    check_duplicate_seeds seeds;
-    let seeds = match seeds with [] -> [ seed ] | l -> l in
-    let total_bytes =
-      int_of_float (total_gib *. float_of_int (Dbmem.Units.gib 1))
-    in
+  let action warmup measure slice total_gib fan =
+    let open Server.Tenants in
+    let total_bytes = bytes_of_gib total_gib in
     (* Three configurations per seed — the victim alone at its pool size,
        the cast under the guaranteed arbiter, and the cast under
        demand-chasing arbitration with no guarantees — each an
        independent deterministic run, fanned over the domains. *)
-    let kinds = [ `Solo; `Isolated; `Free ] in
-    let cells =
-      List.concat_map (fun seed -> List.map (fun k -> (seed, k)) kinds) seeds
-    in
-    let run_cell (seed, kind) =
+    let run_cell ?trace (seed, kind) =
       match kind with
       | `Solo ->
-          Server.Tenants.solo ~victim:"victim" ~total_bytes ~seed ~warmup
-            ~measure ~slice ()
+          solo ?trace ~victim:"victim" ~total_bytes ~seed ~warmup ~measure
+            ~slice ()
       | `Isolated ->
-          Server.Tenants.run ~mode:Server.Tenants.Isolated ~total_bytes ~seed
-            ~warmup ~measure ~slice ()
+          run ?trace ~mode:Isolated ~total_bytes ~seed ~warmup ~measure ~slice ()
       | `Free ->
-          Server.Tenants.run ~mode:Server.Tenants.Free_for_all ~total_bytes
-            ~seed ~warmup ~measure ~slice ()
+          run ?trace ~mode:Free_for_all ~total_bytes ~seed ~warmup ~measure
+            ~slice ()
     in
-    let outcomes =
-      if jobs <= 1 then List.map run_cell cells
-      else Parallel.Pool.run ~jobs run_cell cells
-    in
-    let rec group = function
-      | [] -> []
-      | a :: b :: c :: rest -> (a, b, c) :: group rest
+    let retentions = function
+      | [ o_solo; o_iso; o_free ] ->
+          let victim o = find_tenant o "victim" in
+          let r o = retention ~shared:(victim o) ~solo:(victim o_solo) in
+          (r o_iso, r o_free)
       | _ -> assert false
     in
-    let multi = List.length seeds > 1 in
-    List.iter2
-      (fun seed (o_solo, o_iso, o_free) ->
-        let open Server.Tenants in
-        Printf.printf "\nNoisy neighbour, seed %d (machine %s):\n" seed
-          (Dbmem.Units.bytes_to_string total_bytes);
-        Server.Report.tenants_section o_solo;
-        Server.Report.tenants_section o_iso;
-        Server.Report.tenants_section o_free;
-        let v = find_tenant o_solo "victim" in
-        let vi = find_tenant o_iso "victim" in
-        let vf = find_tenant o_free "victim" in
-        let r_iso = retention ~shared:vi ~solo:v in
-        let r_free = retention ~shared:vf ~solo:v in
-        Printf.printf
-          "\n  victim retention vs solo: isolated %.0f%%, free-for-all %.0f%%\n"
-          (100. *. r_iso) (100. *. r_free);
-        match seed_out_path ~multi out seed with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            let pr fmt = Printf.fprintf oc fmt in
-            pr "noisy-neighbour report, seed %d, machine %s\n" seed
-              (Dbmem.Units.bytes_to_string total_bytes);
-            let dump (o : outcome) =
-              pr "[%s]\n" (mode_name o.omode);
-              pr
-                "pool,workload,clients,compl_per_slice,total,budget_start,\
-                 budget_end,floor,pool_hit,cache_hit,errors,abandoned\n";
-              List.iter
-                (fun (r : tenant_result) ->
-                  pr "%s,%s,%d,%.2f,%d,%d,%d,%d,%.3f,%.3f,%d,%d\n" r.rname
-                    (workload_name r.rworkload)
-                    r.rclients r.mean_per_slice r.completed r.budget_start
-                    r.budget_end r.floor r.pool_hit_rate r.cache_hit_rate
-                    r.errors r.abandoned)
-                o.tenants;
-              if o.omode <> Static then
-                pr "arbiter ticks=%d rebalances=%d moved=%d reclaimed=%d scarce=%b\n"
-                  o.arb_ticks o.arb_rebalances o.arb_moved o.arb_reclaimed
-                  o.arb_scarce
-            in
-            dump o_solo;
-            dump o_iso;
-            dump o_free;
-            pr "victim_retention isolated=%.3f free_for_all=%.3f\n" r_iso r_free;
-            close_out oc;
-            Printf.printf "wrote %s\n" path)
-      seeds (group outcomes)
+    let print seed outcomes =
+      Printf.printf "\nNoisy neighbour, seed %d (machine %s):\n" seed
+        (Dbmem.Units.bytes_to_string total_bytes);
+      List.iter Server.Report.tenants_section outcomes;
+      let r_iso, r_free = retentions outcomes in
+      Printf.printf
+        "\n  victim retention vs solo: isolated %.0f%%, free-for-all %.0f%%\n"
+        (100. *. r_iso) (100. *. r_free)
+    in
+    let report oc seed outcomes =
+      let pr fmt = Printf.fprintf oc fmt in
+      pr "noisy-neighbour report, seed %d, machine %s\n" seed
+        (Dbmem.Units.bytes_to_string total_bytes);
+      List.iter
+        (fun (o : outcome) ->
+          pr "[%s]\n" (mode_name o.omode);
+          pr
+            "pool,workload,clients,compl_per_slice,total,budget_start,\
+             budget_end,floor,pool_hit,cache_hit,errors,abandoned\n";
+          List.iter
+            (fun (r : tenant_result) ->
+              pr "%s,%s,%d,%.2f,%d,%d,%d,%d,%.3f,%.3f,%d,%d\n" r.rname
+                (workload_name r.rworkload)
+                r.rclients r.mean_per_slice r.completed r.budget_start
+                r.budget_end r.floor r.pool_hit_rate r.cache_hit_rate
+                r.errors r.abandoned)
+            o.tenants;
+          if o.omode <> Static then
+            pr "arbiter ticks=%d rebalances=%d moved=%d reclaimed=%d scarce=%b\n"
+              o.arb_ticks o.arb_rebalances o.arb_moved o.arb_reclaimed
+              o.arb_scarce)
+        outcomes;
+      let r_iso, r_free = retentions outcomes in
+      pr "victim_retention isolated=%.3f free_for_all=%.3f\n" r_iso r_free
+    in
+    fan_out fan
+      ~arms:(fun seed -> List.map (fun k -> (seed, k)) [ `Solo; `Isolated; `Free ])
+      ~run:run_cell ~print ~report ()
+    |> ignore
   in
   Cmd.v
     (Cmd.info "tenants"
@@ -738,36 +782,13 @@ let tenants_cmd =
          "Multi-tenant noisy-neighbour experiment: victim solo vs shared \
           with arbiter isolation vs shared free-for-all.")
     Term.(
-      const action $ warmup_arg $ measure_arg $ slice_arg $ seed_arg
-      $ seeds_arg $ total_gib_arg $ out_arg $ jobs_arg)
+      const action $ warmup_arg 400. $ measure_arg 1200. $ slice_arg 60.
+      $ gib_arg "total-gib" (Dbmem.Units.gib 4)
+          ~doc:"Machine memory split across the tenant pools, GiB."
+      $ fan_term ~runs:"the experiment" ~report:"a per-seed tenant report" ())
 
 let shards_cmd =
-  let shards_arg =
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Number of shards (failure domains).")
-  in
-  let clients_arg =
-    Arg.(value & opt int 32 & info [ "clients"; "c" ] ~doc:"Concurrent clients across the router.")
-  in
-  let variants_arg =
-    Arg.(
-      value & opt int 40
-      & info [ "variants" ]
-          ~doc:"Parameterized (cacheable) query templates in the workload.")
-  in
-  let think_arg =
-    Arg.(value & opt float 20. & info [ "think" ] ~doc:"Client think time, seconds (mean).")
-  in
-  let warmup_arg =
-    Arg.(value & opt float 400. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
-  in
-  let measure_arg =
-    Arg.(value & opt float 1200. & info [ "measure" ] ~doc:"Measured window, seconds.")
-  in
-  let total_gib_arg =
-    Arg.(
-      value & opt float 8.
-      & info [ "total-gib" ] ~doc:"Machine memory split across the shards, GiB.")
-  in
+  let d = Server.Shards.default_config in
   let hedge_arg =
     Arg.(
       value & flag
@@ -780,44 +801,13 @@ let shards_cmd =
       & info [ "rolling" ]
           ~doc:"Also run the staggered rolling-restart schedule.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Also write a per-seed shard report to FILE (CI artifact). With \
-             several $(b,--seeds), -seedN is inserted before the extension.")
-  in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"PREFIX"
-          ~doc:
-            "Additionally re-run the crash-failover gateways-on cell with \
-             tracing and write PREFIX-seedN.json Chrome traces (per-shard \
-             lifecycle + budget counters, gateway waits).")
-  in
-  let seeds_arg =
-    Arg.(
-      value
-      & opt (list int) []
-      & info [ "seeds" ]
-          ~doc:
-            "Run every cell at each of these seeds (overrides --seed); the \
-             independent runs fan out across --jobs domains.")
-  in
   let action shards clients variants think warmup measure slice total_gib hedge
-      rolling seed seeds out trace_prefix jobs =
-    check_duplicate_seeds seeds;
-    let seeds = match seeds with [] -> [ seed ] | l -> l in
-    let total_bytes =
-      int_of_float (total_gib *. float_of_int (Dbmem.Units.gib 1))
-    in
-    let cfg_of ~seed ~schedule ~gateways =
+      rolling fan =
+    let open Server.Shards in
+    let total_bytes = bytes_of_gib total_gib in
+    let cfg_of ~seed (schedule, gateways) =
       {
-        Server.Shards.c_shards = shards;
+        c_shards = shards;
         c_clients = clients;
         c_variants = variants;
         c_think = think;
@@ -835,119 +825,77 @@ let shards_cmd =
        on and off — the off cell shows what the recompilation storm costs
        without compile throttling. *)
     let kinds =
-      [
-        (Server.Shards.No_fault, true);
-        (Server.Shards.Crash_failover, true);
-        (Server.Shards.Crash_failover, false);
-      ]
-      @ (if rolling then [ (Server.Shards.Rolling_restart, true) ] else [])
-      @ if hedge then [ (Server.Shards.Brownout, true) ] else []
+      [ (No_fault, true); (Crash_failover, true); (Crash_failover, false) ]
+      @ (if rolling then [ (Rolling_restart, true) ] else [])
+      @ if hedge then [ (Brownout, true) ] else []
     in
-    let cells =
-      List.concat_map
-        (fun seed ->
-          List.map
-            (fun (schedule, gateways) -> cfg_of ~seed ~schedule ~gateways)
-            kinds)
-        seeds
-    in
-    let run_cell cfg = Server.Shards.run cfg in
-    let outcomes =
-      if jobs <= 1 then List.map run_cell cells
-      else Parallel.Pool.run ~jobs run_cell cells
-    in
-    let per_seed = List.length kinds in
-    let rec group = function
-      | [] -> []
-      | rest ->
-          let rec take n acc = function
-            | l when n = 0 -> (List.rev acc, l)
-            | x :: l -> take (n - 1) (x :: acc) l
-            | [] -> assert false
-          in
-          let seed_outcomes, rest = take per_seed [] rest in
-          seed_outcomes :: group rest
-    in
-    let multi = List.length seeds > 1 in
-    List.iter2
-      (fun seed seed_outcomes ->
-        let open Server.Shards in
-        let baseline = List.hd seed_outcomes in
-        Printf.printf "\nSharded failover, seed %d (machine %s, %d shards):\n"
-          seed
-          (Dbmem.Units.bytes_to_string total_bytes)
-          shards;
-        List.iter
+    let print seed outcomes =
+      let baseline = List.hd outcomes in
+      Printf.printf "\nSharded failover, seed %d (machine %s, %d shards):\n"
+        seed
+        (Dbmem.Units.bytes_to_string total_bytes)
+        shards;
+      List.iter
+        (fun o ->
+          if o.o_config.c_schedule = No_fault then Server.Report.shards_section o
+          else Server.Report.shards_section ~baseline o)
+        outcomes;
+      let find schedule gateways =
+        List.find_opt
           (fun o ->
-            if o.o_config.c_schedule = No_fault then
-              Server.Report.shards_section o
-            else Server.Report.shards_section ~baseline o)
-          seed_outcomes;
-        let find schedule gateways =
-          List.find_opt
-            (fun o ->
-              o.o_config.c_schedule = schedule
-              && o.o_config.c_gateways = gateways)
-            seed_outcomes
-        in
-        let ret o = 100. *. retention ~fault:o ~no_fault:baseline in
-        (match (find Crash_failover true, find Crash_failover false) with
-        | Some on, Some off ->
-            Printf.printf
-              "\n  crash-failover retention vs no-fault: gateways on %.0f%%, \
-               off %.0f%%\n"
-              (ret on) (ret off)
-        | _ -> ());
-        (match seed_out_path ~multi out seed with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            let pr fmt = Printf.fprintf oc fmt in
-            pr "sharded-failover report, seed %d, machine %s, %d shards\n"
-              seed
-              (Dbmem.Units.bytes_to_string total_bytes)
-              shards;
-            List.iter
-              (fun o ->
-                pr "[%s gateways=%b hedge=%b]\n"
-                  (schedule_name o.o_config.c_schedule)
-                  o.o_config.c_gateways o.o_config.c_hedge;
-                pr
-                  "shard,state,crashes,accepted,finished,lost,refused,\
-                   recompiles,cache_hit,budget_end\n";
-                List.iter
-                  (fun (r : shard_result) ->
-                    pr "%s,%s,%d,%d,%d,%d,%d,%d,%.3f,%d\n" r.sh_name
-                      r.sh_final_state r.sh_crashes r.sh_accepted r.sh_finished
-                      r.sh_lost r.sh_refused r.sh_recompiles r.sh_cache_hit_rate
-                      r.sh_budget_end)
-                  o.shard_results;
-                pr
-                  "router submitted=%d ok=%d failed=%d rejected=%d spills=%d \
-                   hedges=%d hedge_wins=%d retries=%d p50_ms=%.1f p99_ms=%.1f\n"
-                  o.submitted o.ok o.failed o.rejected o.spills o.hedges
-                  o.hedge_wins o.retries o.p50_ms o.p99_ms;
-                pr
-                  "arbiter ticks=%d rebalances=%d moved=%d reclaimed=%d \
-                   max_budget_sum=%d\n"
-                  o.arb_ticks o.arb_rebalances o.arb_moved o.arb_reclaimed
-                  o.max_budget_sum;
-                if o.o_config.c_schedule <> No_fault then
-                  pr "retention=%.3f\n" (retention ~fault:o ~no_fault:baseline))
-              seed_outcomes;
-            close_out oc;
-            Printf.printf "wrote %s\n" path);
-        match trace_prefix with
-        | None -> ()
-        | Some prefix ->
-            let trace = Obs.Trace.create () in
-            ignore
-              (Server.Shards.run ~trace
-                 (cfg_of ~seed ~schedule:Crash_failover ~gateways:true));
-            let path = Printf.sprintf "%s-seed%d.json" prefix seed in
-            Obs.Export.chrome_to_file path (Obs.Trace.records trace);
-            Printf.printf "wrote %s\n" path)
-      seeds (group outcomes)
+            o.o_config.c_schedule = schedule && o.o_config.c_gateways = gateways)
+          outcomes
+      in
+      let ret o = 100. *. retention ~fault:o ~no_fault:baseline in
+      match (find Crash_failover true, find Crash_failover false) with
+      | Some on, Some off ->
+          Printf.printf
+            "\n  crash-failover retention vs no-fault: gateways on %.0f%%, \
+             off %.0f%%\n"
+            (ret on) (ret off)
+      | _ -> ()
+    in
+    let report oc seed outcomes =
+      let baseline = List.hd outcomes in
+      let pr fmt = Printf.fprintf oc fmt in
+      pr "sharded-failover report, seed %d, machine %s, %d shards\n" seed
+        (Dbmem.Units.bytes_to_string total_bytes)
+        shards;
+      List.iter
+        (fun o ->
+          pr "[%s gateways=%b hedge=%b]\n"
+            (schedule_name o.o_config.c_schedule)
+            o.o_config.c_gateways o.o_config.c_hedge;
+          pr
+            "shard,state,crashes,accepted,finished,lost,refused,\
+             recompiles,cache_hit,budget_end\n";
+          List.iter
+            (fun (r : shard_result) ->
+              pr "%s,%s,%d,%d,%d,%d,%d,%d,%.3f,%d\n" r.sh_name
+                r.sh_final_state r.sh_crashes r.sh_accepted r.sh_finished
+                r.sh_lost r.sh_refused r.sh_recompiles r.sh_cache_hit_rate
+                r.sh_budget_end)
+            o.shard_results;
+          pr
+            "router submitted=%d ok=%d failed=%d rejected=%d spills=%d \
+             hedges=%d hedge_wins=%d retries=%d p50_ms=%.1f p99_ms=%.1f\n"
+            o.submitted o.ok o.failed o.rejected o.spills o.hedges
+            o.hedge_wins o.retries o.p50_ms o.p99_ms;
+          pr
+            "arbiter ticks=%d rebalances=%d moved=%d reclaimed=%d \
+             max_budget_sum=%d\n"
+            o.arb_ticks o.arb_rebalances o.arb_moved o.arb_reclaimed
+            o.max_budget_sum;
+          if o.o_config.c_schedule <> No_fault then
+            pr "retention=%.3f\n" (retention ~fault:o ~no_fault:baseline))
+        outcomes
+    in
+    fan_out fan
+      ~arms:(fun seed -> List.map (cfg_of ~seed) kinds)
+      ~validate ~run ~print ~report
+      ~traced:(fun seed -> cfg_of ~seed (Crash_failover, true))
+      ()
+    |> ignore
   in
   Cmd.v
     (Cmd.info "shards"
@@ -956,40 +904,21 @@ let shards_cmd =
           domains, crash-failover with cold-cache recompilation storms, \
           with and without compile gateways.")
     Term.(
-      const action $ shards_arg $ clients_arg $ variants_arg $ think_arg
-      $ warmup_arg $ measure_arg $ slice_arg $ total_gib_arg $ hedge_arg
-      $ rolling_arg $ seed_arg $ seeds_arg $ out_arg $ trace_arg $ jobs_arg)
+      const action $ shards_arg d.c_shards
+      $ clients_arg ~doc:"Concurrent clients across the router." d.c_clients
+      $ variants_arg d.c_variants $ think_arg d.c_think
+      $ warmup_arg d.c_warmup $ measure_arg d.c_measure $ slice_arg d.c_slice
+      $ gib_arg "total-gib" d.c_total
+          ~doc:"Machine memory split across the shards, GiB."
+      $ hedge_arg $ rolling_arg
+      $ fan_term ~runs:"every cell" ~report:"a per-seed shard report"
+          ~traced:
+            ( "the crash-failover gateways-on cell",
+              "per-shard lifecycle + budget counters, gateway waits" )
+          ())
 
 let storm_cmd =
-  let shards_arg =
-    Arg.(value & opt int 3 & info [ "shards" ] ~doc:"Number of shards (failure domains).")
-  in
-  let clients_arg =
-    Arg.(value & opt int 160 & info [ "clients"; "c" ] ~doc:"Concurrent clients across the router.")
-  in
-  let variants_arg =
-    Arg.(
-      value & opt int 96
-      & info [ "variants" ]
-          ~doc:"Parameterized (cacheable) query templates in the workload.")
-  in
-  let think_arg =
-    Arg.(value & opt float 10. & info [ "think" ] ~doc:"Client think time, seconds (mean).")
-  in
-  let warmup_arg =
-    Arg.(value & opt float 600. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
-  in
-  let measure_arg =
-    Arg.(value & opt float 900. & info [ "measure" ] ~doc:"Measured window, seconds.")
-  in
-  let slice_arg =
-    Arg.(value & opt float 30. & info [ "slice" ] ~doc:"Time-slice width for throughput, seconds.")
-  in
-  let total_gib_arg =
-    Arg.(
-      value & opt float 24.
-      & info [ "total-gib" ] ~doc:"Machine memory split across the shards, GiB.")
-  in
+  let d = Server.Storms.default_config in
   let defenses_arg =
     Arg.(
       value
@@ -1012,86 +941,36 @@ let storm_cmd =
              $(b,invalidation) (every plan cache flushed in place), or \
              $(b,both).")
   in
-  let sf_wait_arg =
+  let tuning kind name doc =
     Arg.(
       value
-      & opt (some float) None
-      & info [ "sf-wait" ]
-          ~doc:
-            "Singleflight follower wait, seconds, before compiling solo. \
-             Conflicts with $(b,--defenses off).")
+      & opt (some kind) None
+      & info [ name ] ~doc:(doc ^ " Conflicts with $(b,--defenses off)."))
+  in
+  let sf_wait_arg =
+    tuning Arg.float "sf-wait"
+      "Singleflight follower wait, seconds, before compiling solo."
   in
   let budget_tokens_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "budget-tokens" ]
-          ~doc:
-            "Initial retry-budget tokens per client. Conflicts with \
-             $(b,--defenses off).")
+    tuning Arg.float "budget-tokens" "Initial retry-budget tokens per client."
   in
   let lifo_after_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "lifo-after" ]
-          ~doc:
-            "Seconds of sustained gateway standing before the FIFO->LIFO \
-             flip. Conflicts with $(b,--defenses off).")
+    tuning Arg.float "lifo-after"
+      "Seconds of sustained gateway standing before the FIFO->LIFO flip."
   in
   let warm_prime_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "warm-prime" ]
-          ~doc:
-            "Hottest templates warm-primed on shard rejoin. Conflicts \
-             with $(b,--defenses off).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Also write a per-seed storm report to FILE (CI artifact). With \
-             several $(b,--seeds), -seedN is inserted before the extension.")
-  in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"PREFIX"
-          ~doc:
-            "Additionally re-run the defended first-schedule cell with tracing and \
-             write PREFIX-seedN.json Chrome traces (storm begin/end \
-             instants, singleflight coalesces, queue-discipline shifts, \
-             gateway waits).")
-  in
-  let seeds_arg =
-    Arg.(
-      value
-      & opt (list int) []
-      & info [ "seeds" ]
-          ~doc:
-            "Run every cell at each of these seeds (overrides --seed); the \
-             independent runs fan out across --jobs domains.")
+    tuning Arg.int "warm-prime" "Hottest templates warm-primed on shard rejoin."
   in
   let action shards clients variants think warmup measure slice total_gib
-      defenses schedule sf_wait budget_tokens lifo_after warm_prime seed seeds
-      out trace_prefix jobs =
-    check_duplicate_seeds seeds;
-    let fail msg =
-      prerr_endline (Printf.sprintf "dbsim: error: %s (try 'dbsim --help')" msg);
-      exit Cmd.Exit.cli_error
-    in
+      defenses schedule sf_wait budget_tokens lifo_after warm_prime fan =
+    let open Server.Storms in
     (* Structured conflicts, caught before any simulation runs: every
        tuning flag parameterizes a defense, so with the defended arm
        excluded there is nothing for it to tune. *)
     (if defenses = `Off then
        let conflict name = function
          | Some _ ->
-             fail
+             cli_error
                (Printf.sprintf
                   "--%s conflicts with --defenses off (it tunes a defense \
                    that arm never runs)"
@@ -1102,23 +981,10 @@ let storm_cmd =
        conflict "budget-tokens" budget_tokens;
        conflict "lifo-after" lifo_after;
        conflict "warm-prime" (Option.map float_of_int warm_prime));
-    let nonpos name = function
-      | Some v when v <= 0. -> fail (Printf.sprintf "--%s must be positive" name)
-      | _ -> ()
-    in
-    nonpos "sf-wait" sf_wait;
-    nonpos "budget-tokens" budget_tokens;
-    nonpos "lifo-after" lifo_after;
-    (match warm_prime with
-    | Some k when k < 0 -> fail "--warm-prime must be >= 0"
-    | _ -> ());
-    let seeds = match seeds with [] -> [ seed ] | l -> l in
-    let total_bytes =
-      int_of_float (total_gib *. float_of_int (Dbmem.Units.gib 1))
-    in
-    let cfg_of ~seed ~schedule ~defenses =
+    let total_bytes = bytes_of_gib total_gib in
+    let cfg_of ~seed (schedule, defenses) =
       {
-        Server.Storms.s_shards = shards;
+        s_shards = shards;
         s_clients = clients;
         s_variants = variants;
         s_think = think;
@@ -1137,9 +1003,9 @@ let storm_cmd =
     in
     let schedules =
       match schedule with
-      | `Crash -> [ Server.Storms.Cold_crash ]
-      | `Invalidation -> [ Server.Storms.Mass_invalidation ]
-      | `Both -> [ Server.Storms.Cold_crash; Server.Storms.Mass_invalidation ]
+      | `Crash -> [ Cold_crash ]
+      | `Invalidation -> [ Mass_invalidation ]
+      | `Both -> [ Cold_crash; Mass_invalidation ]
     in
     let arms =
       match defenses with
@@ -1150,111 +1016,68 @@ let storm_cmd =
     let kinds =
       List.concat_map (fun sch -> List.map (fun d -> (sch, d)) arms) schedules
     in
-    let cells =
-      List.concat_map
-        (fun seed ->
-          List.map
-            (fun (schedule, defenses) -> cfg_of ~seed ~schedule ~defenses)
-            kinds)
-        seeds
-    in
-    List.iter Server.Storms.validate cells;
-    let run_cell cfg = Server.Storms.run cfg in
-    let outcomes =
-      if jobs <= 1 then List.map run_cell cells
-      else Parallel.Pool.run ~jobs run_cell cells
-    in
-    let per_seed = List.length kinds in
-    let rec group = function
-      | [] -> []
-      | rest ->
-          let rec take n acc = function
-            | l when n = 0 -> (List.rev acc, l)
-            | x :: l -> take (n - 1) (x :: acc) l
-            | [] -> assert false
+    (* The defended/undefended pair of each schedule, when both ran. *)
+    let pairs outcomes =
+      List.filter_map
+        (fun sch ->
+          let find d =
+            List.find_opt
+              (fun o -> o.o_config.s_schedule = sch && o.o_config.s_defenses = d)
+              outcomes
           in
-          let seed_outcomes, rest = take per_seed [] rest in
-          seed_outcomes :: group rest
+          match (find true, find false) with
+          | Some defended, Some undefended -> Some (sch, defended, undefended)
+          | _ -> None)
+        schedules
     in
-    let multi = List.length seeds > 1 in
-    List.iter2
-      (fun seed seed_outcomes ->
-        let open Server.Storms in
-        Printf.printf
-          "\nCold-cache storm, seed %d (machine %s, %d shards, %d clients):\n"
-          seed
-          (Dbmem.Units.bytes_to_string total_bytes)
-          shards clients;
-        List.iter Server.Report.storms_section seed_outcomes;
-        List.iter
-          (fun sch ->
-            let find d =
-              List.find_opt
-                (fun o ->
-                  o.o_config.s_schedule = sch && o.o_config.s_defenses = d)
-                seed_outcomes
-            in
-            match (find true, find false) with
-            | Some defended, Some undefended ->
-                Printf.printf "\n  [%s]" (schedule_name sch);
-                Server.Report.storms_verdict ~defended ~undefended
-            | _ -> ())
-          schedules;
-        (match seed_out_path ~multi out seed with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            let pr fmt = Printf.fprintf oc fmt in
-            pr "storm report, seed %d, machine %s, %d shards, %d clients\n"
-              seed
-              (Dbmem.Units.bytes_to_string total_bytes)
-              shards clients;
-            pr
-              "schedule,defenses,pre_rate,post_rate,recovery_s,recovered,\
-               retry_amp,dup_compiles,coalesced,storms,primed,lifo_shifts,\
-               deadline_sheds,budget_denials,submitted,ok,failed,rejected,\
-               retries,p50_ms,p99_ms,abandoned\n";
-            List.iter
-              (fun o ->
-                pr
-                  "%s,%b,%.2f,%.2f,%s,%b,%.3f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,\
-                   %d,%d,%.1f,%.1f,%d\n"
-                  (schedule_name o.o_config.s_schedule)
-                  o.o_config.s_defenses o.pre_rate o.post_rate
-                  (if o.recovered then Printf.sprintf "%.1f" o.recovery_s
-                   else "inf")
-                  o.recovered o.retry_amp o.dup_compiles o.coalesced
-                  o.storms_detected o.primed o.lifo_shifts o.deadline_sheds
-                  o.budget_denials o.submitted o.ok o.failed o.rejected
-                  o.retries o.p50_ms o.p99_ms o.cl_abandoned)
-              seed_outcomes;
-            List.iter
-              (fun sch ->
-                let find d =
-                  List.find_opt
-                    (fun o ->
-                      o.o_config.s_schedule = sch && o.o_config.s_defenses = d)
-                    seed_outcomes
-                in
-                match (find true, find false) with
-                | Some defended, Some undefended ->
-                    pr "%s defense_win=%b\n" (schedule_name sch)
-                      (faster_recovery ~defended ~undefended)
-                | _ -> ())
-              schedules;
-            close_out oc;
-            Printf.printf "wrote %s\n" path);
-        match trace_prefix with
-        | None -> ()
-        | Some prefix ->
-            let trace = Obs.Trace.create () in
-            ignore
-              (Server.Storms.run ~trace
-                 (cfg_of ~seed ~schedule:(List.hd schedules) ~defenses:true));
-            let path = Printf.sprintf "%s-seed%d.json" prefix seed in
-            Obs.Export.chrome_to_file path (Obs.Trace.records trace);
-            Printf.printf "wrote %s\n" path)
-      seeds (group outcomes)
+    let print seed outcomes =
+      Printf.printf
+        "\nCold-cache storm, seed %d (machine %s, %d shards, %d clients):\n"
+        seed
+        (Dbmem.Units.bytes_to_string total_bytes)
+        shards clients;
+      List.iter Server.Report.storms_section outcomes;
+      List.iter
+        (fun (sch, defended, undefended) ->
+          Printf.printf "\n  [%s]" (schedule_name sch);
+          Server.Report.storms_verdict ~defended ~undefended)
+        (pairs outcomes)
+    in
+    let report oc seed outcomes =
+      let pr fmt = Printf.fprintf oc fmt in
+      pr "storm report, seed %d, machine %s, %d shards, %d clients\n" seed
+        (Dbmem.Units.bytes_to_string total_bytes)
+        shards clients;
+      pr
+        "schedule,defenses,pre_rate,post_rate,recovery_s,recovered,\
+         retry_amp,dup_compiles,coalesced,storms,primed,lifo_shifts,\
+         deadline_sheds,budget_denials,submitted,ok,failed,rejected,\
+         retries,p50_ms,p99_ms,abandoned\n";
+      List.iter
+        (fun o ->
+          pr
+            "%s,%b,%.2f,%.2f,%s,%b,%.3f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,\
+             %d,%d,%.1f,%.1f,%d\n"
+            (schedule_name o.o_config.s_schedule)
+            o.o_config.s_defenses o.pre_rate o.post_rate
+            (if o.recovered then Printf.sprintf "%.1f" o.recovery_s else "inf")
+            o.recovered o.retry_amp o.dup_compiles o.coalesced
+            o.storms_detected o.primed o.lifo_shifts o.deadline_sheds
+            o.budget_denials o.submitted o.ok o.failed o.rejected
+            o.retries o.p50_ms o.p99_ms o.cl_abandoned)
+        outcomes;
+      List.iter
+        (fun (sch, defended, undefended) ->
+          pr "%s defense_win=%b\n" (schedule_name sch)
+            (faster_recovery ~defended ~undefended))
+        (pairs outcomes)
+    in
+    fan_out fan
+      ~arms:(fun seed -> List.map (cfg_of ~seed) kinds)
+      ~validate ~run ~print ~report
+      ~traced:(fun seed -> cfg_of ~seed (List.hd schedules, true))
+      ()
+    |> ignore
   in
   Cmd.v
     (Cmd.info "storm"
@@ -1263,12 +1086,23 @@ let storm_cmd =
           or mass invalidation) with the defense stack — singleflight, \
           retry budgets, adaptive queues, warm-priming — on vs off.")
     Term.(
-      const action $ shards_arg $ clients_arg $ variants_arg $ think_arg
-      $ warmup_arg $ measure_arg $ slice_arg $ total_gib_arg $ defenses_arg
-      $ schedule_arg $ sf_wait_arg $ budget_tokens_arg $ lifo_after_arg
-      $ warm_prime_arg $ seed_arg $ seeds_arg $ out_arg $ trace_arg $ jobs_arg)
+      const action $ shards_arg d.s_shards
+      $ clients_arg ~doc:"Concurrent clients across the router." d.s_clients
+      $ variants_arg d.s_variants $ think_arg d.s_think
+      $ warmup_arg d.s_warmup $ measure_arg d.s_measure $ slice_arg d.s_slice
+      $ gib_arg "total-gib" d.s_total
+          ~doc:"Machine memory split across the shards, GiB."
+      $ defenses_arg $ schedule_arg $ sf_wait_arg $ budget_tokens_arg
+      $ lifo_after_arg $ warm_prime_arg
+      $ fan_term ~runs:"every cell" ~report:"a per-seed storm report"
+          ~traced:
+            ( "the defended first-schedule cell",
+              "storm begin/end instants, singleflight coalesces, \
+               queue-discipline shifts, gateway waits" )
+          ())
 
 let cache_cmd =
+  let d = Server.Cached.default_config in
   let mode_arg =
     Arg.(
       value
@@ -1278,39 +1112,19 @@ let cache_cmd =
             "Cache mode to run: $(b,off), $(b,fixed), $(b,brokered), or \
              $(b,all) (the three-way comparison).")
   in
-  let clients_arg =
-    Arg.(value & opt int 16 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
-  in
-  let think_arg =
-    Arg.(value & opt float 30. & info [ "think" ] ~doc:"Client think time, seconds (mean).")
-  in
   let ratio_arg =
     Arg.(
-      value & opt float 0.6
+      value & opt float d.k_ratio
       & info [ "param-ratio" ]
           ~doc:
             "Fraction of traffic replaying parameterized (cacheable) \
              statements; the rest is uniquified ad-hoc.")
   in
-  let variants_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "variants" ] ~doc:"Distinct parameterized statements.")
-  in
   let writers_arg =
     Arg.(
-      value & opt int 2
+      value & opt int d.k_writers
       & info [ "writers" ]
           ~doc:"Writer sessions invalidating cached results by relation.")
-  in
-  let warmup_arg =
-    Arg.(value & opt float 200. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
-  in
-  let measure_arg =
-    Arg.(value & opt float 800. & info [ "measure" ] ~doc:"Measured window, seconds.")
-  in
-  let memory_gib_arg =
-    Arg.(value & opt float 4. & info [ "memory-gib" ] ~doc:"Machine memory, GiB.")
   in
   let cache_mib_arg =
     Arg.(
@@ -1318,17 +1132,19 @@ let cache_cmd =
       & opt (some int) None
       & info [ "cache-mib" ]
           ~doc:
-            "Cache byte budget, MiB (fixed mode) / broker cap (brokered \
-             mode). Default 256. Conflicts with $(b,--mode off).")
+            (Printf.sprintf
+               "Cache byte budget, MiB (fixed mode) / broker cap (brokered \
+                mode). Default %.0f. Conflicts with $(b,--mode off)."
+               (Dbmem.Units.to_mib d.k_cache_bytes)))
   in
   let ttl_arg =
     Arg.(
-      value & opt float 600.
+      value & opt float d.k_ttl
       & info [ "ttl" ] ~doc:"Cached-entry lifetime, seconds (0 = no expiry).")
   in
   let ballast_gib_arg =
     Arg.(
-      value & opt float 0.
+      value & opt float d.k_ballast_gib
       & info [ "ballast-gib" ]
           ~doc:
             "Inject a memory ballast mid-window (GiB): the pressure under \
@@ -1351,68 +1167,29 @@ let cache_cmd =
             "Diurnal curve: load swings sinusoidally up to this multiple \
              of the baseline over one measure-length cycle (1 = flat).")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Also write a per-seed cache report to FILE (CI artifact). With \
-             several $(b,--seeds), -seedN is inserted before the extension.")
-  in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"PREFIX"
-          ~doc:
-            "Additionally re-run the brokered cell with tracing and write \
-             PREFIX-seedN.json Chrome traces (cache residency/hit-rate \
-             counters, lookup/store/invalidate/shrink instants, gateway \
-             waits).")
-  in
-  let seeds_arg =
-    Arg.(
-      value
-      & opt (list int) []
-      & info [ "seeds" ]
-          ~doc:
-            "Run every cell at each of these seeds (overrides --seed); the \
-             independent runs fan out across --jobs domains.")
-  in
   let action mode clients think ratio variants writers warmup measure slice
-      memory_gib cache_mib ttl ballast_gib flash peak_load seed seeds out
-      trace_prefix jobs =
-    check_duplicate_seeds seeds;
-    let fail msg =
-      prerr_endline (Printf.sprintf "dbsim: error: %s (try 'dbsim --help')" msg);
-      exit Cmd.Exit.cli_error
-    in
-    (* Structured conflicts, caught before any simulation runs. *)
+      memory_gib cache_mib ttl ballast_gib flash peak_load fan =
+    let open Server.Cached in
+    (* Structured conflicts, caught before any simulation runs. The
+       diurnal and flash-crowd flags are checked here because the
+       configs below only carry them when they are active. *)
     (match (mode, cache_mib) with
     | `Off, Some _ ->
-        fail "--cache-mib conflicts with --mode off (cache-off runs no cache)"
+        cli_error "--cache-mib conflicts with --mode off (cache-off runs no cache)"
     | _ -> ());
-    if ratio < 0. || ratio > 1. then fail "--param-ratio outside [0, 1]";
-    if peak_load < 1. then fail "--peak-load below 1";
-    if flash < 0 then fail "--flash below 0";
-    let seeds = match seeds with [] -> [ seed ] | l -> l in
+    if peak_load < 1. then cli_error "--peak-load below 1";
+    if flash < 0 then cli_error "--flash below 0";
     let modes =
       match mode with
-      | `All ->
-          [
-            Server.Cached.Cache_off;
-            Server.Cached.Cache_fixed;
-            Server.Cached.Cache_brokered;
-          ]
-      | `Off -> [ Server.Cached.Cache_off ]
-      | `Fixed -> [ Server.Cached.Cache_fixed ]
-      | `Brokered -> [ Server.Cached.Cache_brokered ]
+      | `All -> [ Cache_off; Cache_fixed; Cache_brokered ]
+      | `Off -> [ Cache_off ]
+      | `Fixed -> [ Cache_fixed ]
+      | `Brokered -> [ Cache_brokered ]
     in
-    let cfg_of ~seed ~mode =
+    let cfg_of ~seed mode =
       {
-        Server.Cached.default_config with
-        Server.Cached.k_mode = mode;
+        d with
+        k_mode = mode;
         k_clients = clients;
         k_think = think;
         k_ratio = ratio;
@@ -1421,8 +1198,9 @@ let cache_cmd =
         k_warmup = warmup;
         k_measure = measure;
         k_slice = slice;
-        k_memory = int_of_float (memory_gib *. float_of_int (Dbmem.Units.gib 1));
-        k_cache_bytes = Dbmem.Units.mib (Option.value cache_mib ~default:256);
+        k_memory = bytes_of_gib memory_gib;
+        k_cache_bytes =
+          Option.fold ~none:d.k_cache_bytes ~some:Dbmem.Units.mib cache_mib;
         k_ttl = ttl;
         k_ballast_gib = ballast_gib;
         k_diurnal =
@@ -1443,100 +1221,58 @@ let cache_cmd =
         k_seed = seed;
       }
     in
-    let cells =
-      List.concat_map
-        (fun seed -> List.map (fun mode -> cfg_of ~seed ~mode) modes)
-        seeds
+    let find mode outcomes =
+      List.find_opt (fun o -> o.o_config.k_mode = mode) outcomes
     in
-    List.iter Server.Cached.validate cells;
-    let run_cell cfg = Server.Cached.run cfg in
-    let outcomes =
-      if jobs <= 1 then List.map run_cell cells
-      else Parallel.Pool.run ~jobs run_cell cells
+    let print seed outcomes =
+      let baseline = find Cache_off outcomes in
+      Printf.printf
+        "\nMid-tier cache, seed %d (machine %.0f GiB, %.0f%% parameterized):\n"
+        seed memory_gib (100. *. ratio);
+      List.iter
+        (fun o ->
+          match baseline with
+          | Some b when o.o_config.k_mode <> Cache_off ->
+              Server.Report.cached_section ~baseline:b o
+          | _ -> Server.Report.cached_section o)
+        outcomes;
+      if List.length outcomes > 1 then Server.Report.cached_comparison outcomes
     in
-    let per_seed = List.length modes in
-    let rec group = function
-      | [] -> []
-      | rest ->
-          let rec take n acc = function
-            | l when n = 0 -> (List.rev acc, l)
-            | x :: l -> take (n - 1) (x :: acc) l
-            | [] -> assert false
-          in
-          let seed_outcomes, rest = take per_seed [] rest in
-          seed_outcomes :: group rest
+    let report oc seed outcomes =
+      let pr fmt = Printf.fprintf oc fmt in
+      pr "mid-tier cache report, seed %d, machine %.0f GiB\n" seed memory_gib;
+      pr
+        "mode,compl_per_slice,completed,requests,hits,misses,bypasses,\
+         hit_rate,stores,refused,evictions,expired,invalidated,\
+         shrink_events,shrink_freed,resident_end,resident_peak,\
+         budget_end,gw_acquires,gw_timeouts,gw_wait_mean_s,compiles,\
+         plan_hits,compile_peak_max,ooms,p50_ms,p99_ms,abandoned\n";
+      List.iter
+        (fun o ->
+          pr
+            "%s,%.2f,%d,%d,%d,%d,%d,%.3f,%d,%d,%d,%d,%d,%d,%d,%d,%d,\
+             %d,%d,%d,%.3f,%d,%d,%.0f,%d,%.1f,%.1f,%d\n"
+            (mode_name o.o_config.k_mode)
+            o.mean_per_slice o.completed o.requests o.hits o.misses
+            o.bypasses o.cache_hit_rate o.stores o.refused o.evictions
+            o.expired o.invalidated o.shrink_events o.shrink_freed
+            o.resident_end o.resident_peak o.budget_end o.gw_acquires
+            o.gw_timeouts o.gw_wait_mean_s o.compiles o.plan_hits
+            o.compile_peak_max o.ooms o.p50_ms o.p99_ms o.cl_abandoned)
+        outcomes;
+      match (find Cache_off outcomes, find Cache_brokered outcomes) with
+      | Some off, Some brokered ->
+          pr "brokered_uplift=%.3f gw_drop=%d\n"
+            (uplift brokered ~over:off)
+            (off.gw_acquires - brokered.gw_acquires)
+      | _ -> ()
     in
-    let multi = List.length seeds > 1 in
-    List.iter2
-      (fun seed seed_outcomes ->
-        let open Server.Cached in
-        let baseline =
-          List.find_opt
-            (fun o -> o.o_config.k_mode = Cache_off)
-            seed_outcomes
-        in
-        Printf.printf
-          "\nMid-tier cache, seed %d (machine %.0f GiB, %.0f%% parameterized):\n"
-          seed memory_gib (100. *. ratio);
-        List.iter
-          (fun o ->
-            match baseline with
-            | Some b when o.o_config.k_mode <> Cache_off ->
-                Server.Report.cached_section ~baseline:b o
-            | _ -> Server.Report.cached_section o)
-          seed_outcomes;
-        if List.length seed_outcomes > 1 then
-          Server.Report.cached_comparison seed_outcomes;
-        (match seed_out_path ~multi out seed with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            let pr fmt = Printf.fprintf oc fmt in
-            pr "mid-tier cache report, seed %d, machine %.0f GiB\n" seed
-              memory_gib;
-            pr
-              "mode,compl_per_slice,completed,requests,hits,misses,bypasses,\
-               hit_rate,stores,refused,evictions,expired,invalidated,\
-               shrink_events,shrink_freed,resident_end,resident_peak,\
-               budget_end,gw_acquires,gw_timeouts,gw_wait_mean_s,compiles,\
-               plan_hits,compile_peak_max,ooms,p50_ms,p99_ms,abandoned\n";
-            List.iter
-              (fun o ->
-                pr
-                  "%s,%.2f,%d,%d,%d,%d,%d,%.3f,%d,%d,%d,%d,%d,%d,%d,%d,%d,\
-                   %d,%d,%d,%.3f,%d,%d,%.0f,%d,%.1f,%.1f,%d\n"
-                  (mode_name o.o_config.k_mode)
-                  o.mean_per_slice o.completed o.requests o.hits o.misses
-                  o.bypasses o.cache_hit_rate o.stores o.refused o.evictions
-                  o.expired o.invalidated o.shrink_events o.shrink_freed
-                  o.resident_end o.resident_peak o.budget_end o.gw_acquires
-                  o.gw_timeouts o.gw_wait_mean_s o.compiles o.plan_hits
-                  o.compile_peak_max o.ooms o.p50_ms o.p99_ms o.cl_abandoned)
-              seed_outcomes;
-            (match
-               ( baseline,
-                 List.find_opt
-                   (fun o -> o.o_config.k_mode = Cache_brokered)
-                   seed_outcomes )
-             with
-            | Some off, Some brokered ->
-                pr "brokered_uplift=%.3f gw_drop=%d\n"
-                  (uplift brokered ~over:off)
-                  (off.gw_acquires - brokered.gw_acquires)
-            | _ -> ());
-            close_out oc;
-            Printf.printf "wrote %s\n" path);
-        match trace_prefix with
-        | None -> ()
-        | Some prefix ->
-            let trace = Obs.Trace.create () in
-            ignore
-              (Server.Cached.run ~trace
-                 (cfg_of ~seed ~mode:Server.Cached.Cache_brokered));
-            let path = Printf.sprintf "%s-seed%d.json" prefix seed in
-            Obs.Export.chrome_to_file path (Obs.Trace.records trace);
-            Printf.printf "wrote %s\n" path)
-      seeds (group outcomes)
+    fan_out fan
+      ~arms:(fun seed -> List.map (cfg_of ~seed) modes)
+      ~validate ~run ~print ~report
+      ~traced:(fun seed -> cfg_of ~seed Cache_brokered)
+      ()
+    |> ignore
   in
   Cmd.v
     (Cmd.info "cache"
@@ -1545,10 +1281,19 @@ let cache_cmd =
           traffic: cache-off vs fixed vs broker-governed, with optional \
           memory ballast, diurnal curve and flash crowds.")
     Term.(
-      const action $ mode_arg $ clients_arg $ think_arg $ ratio_arg
-      $ variants_arg $ writers_arg $ warmup_arg $ measure_arg $ slice_arg
-      $ memory_gib_arg $ cache_mib_arg $ ttl_arg $ ballast_gib_arg $ flash_arg
-      $ peak_load_arg $ seed_arg $ seeds_arg $ out_arg $ trace_arg $ jobs_arg)
+      const action $ mode_arg $ clients_arg d.k_clients $ think_arg d.k_think
+      $ ratio_arg
+      $ variants_arg ~doc:"Distinct parameterized statements." d.k_variants
+      $ writers_arg $ warmup_arg d.k_warmup $ measure_arg d.k_measure
+      $ slice_arg d.k_slice
+      $ gib_arg "memory-gib" d.k_memory ~doc:"Machine memory, GiB."
+      $ cache_mib_arg $ ttl_arg $ ballast_gib_arg $ flash_arg $ peak_load_arg
+      $ fan_term ~runs:"every cell" ~report:"a per-seed cache report"
+          ~traced:
+            ( "the brokered cell",
+              "cache residency/hit-rate counters, \
+               lookup/store/invalidate/shrink instants, gateway waits" )
+          ())
 
 let info_cmd =
   let action () =
@@ -1582,7 +1327,7 @@ let one_line_error raw =
     then String.sub msg (String.length p) (String.length msg - String.length p)
     else msg
   in
-  Printf.sprintf "dbsim: error: %s (try 'dbsim --help')" msg
+  error_line msg
 
 let () =
   setup_logs (Some Logs.Warning);
