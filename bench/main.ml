@@ -28,22 +28,22 @@ let unthrottled_config seed =
 
 (* Worker-domain count for experiment grids: --jobs N, or DBSIM_JOBS, or
    sequential. Every run is an independent cell with its own engine and
-   RNG, and run_grid returns results in submission order, so the printed
-   output is identical at any job count. *)
+   RNG, and Parallel.Pool.run returns results in submission order, so the
+   printed output is identical at any job count. *)
 let jobs = ref 1
 
-let run_grid cells = Server.Experiment.run_grid ~jobs:!jobs cells
+(* One run of the figure windows per (clients, config) cell. *)
+let run_grid ~measure cells =
+  Parallel.Pool.run ~jobs:!jobs
+    (fun (clients, config) ->
+      Server.Experiment.run ~config ~clients ~warmup ~measure ~slice:fig_slice ())
+    cells
 
-let pair_cells ~clients ~measure ~seed =
-  [
-    Server.Experiment.cell ~config:(throttled_config seed) ~clients ~warmup
-      ~measure ~slice:fig_slice ();
-    Server.Experiment.cell ~config:(unthrottled_config seed) ~clients ~warmup
-      ~measure ~slice:fig_slice ();
-  ]
+let pair_cells ~clients ~seed =
+  [ (clients, throttled_config seed); (clients, unthrottled_config seed) ]
 
 let run_pair ~clients ~measure ~seed =
-  match run_grid (pair_cells ~clients ~measure ~seed) with
+  match run_grid ~measure (pair_cells ~clients ~seed) with
   | [ on; off ] -> (on, off)
   | _ -> assert false
 
@@ -214,10 +214,12 @@ let client_sweep () =
   section "T2 - client sweep (paper: max throughput at 30 clients)";
   let cells =
     List.concat_map
-      (fun clients -> pair_cells ~clients ~measure:quick_measure ~seed:42)
+      (fun clients -> pair_cells ~clients ~seed:42)
       [ 10; 20; 25; 30; 35; 40; 45 ]
   in
-  let rows = List.map Server.Report.result_row (run_grid cells) in
+  let rows =
+    List.map Server.Report.result_row (run_grid ~measure:quick_measure cells)
+  in
   Server.Report.table ~header:Server.Report.result_header rows
 
 (* ------------------------------------------------------------------ *)
@@ -227,7 +229,7 @@ let reliability () =
   section "T3 - reliability (resource errors and first-attempt success)";
   let cells =
     List.concat_map
-      (fun clients -> pair_cells ~clients ~measure:quick_measure ~seed:42)
+      (fun clients -> pair_cells ~clients ~seed:42)
       [ 30; 35; 40 ]
   in
   let row (r : Server.Experiment.result) =
@@ -250,7 +252,7 @@ let reliability () =
       string_of_int c.Workload.Client.abandoned;
     ]
   in
-  let rows = List.map row (run_grid cells) in
+  let rows = List.map row (run_grid ~measure:quick_measure cells) in
   Server.Report.table
     ~header:[ "clients"; "throttle"; "errors"; "by kind"; "attempt success"; "abandoned" ]
     rows
@@ -384,12 +386,8 @@ let overhead () =
 (* Ablation variants are independent runs too: fan each section's
    variants through the same grid. *)
 let ablation_grid ~clients configs =
-  run_grid
-    (List.map
-       (fun config ->
-         Server.Experiment.cell ~config ~clients ~warmup
-           ~measure:quick_measure ~slice:fig_slice ())
-       configs)
+  run_grid ~measure:quick_measure
+    (List.map (fun config -> (clients, config)) configs)
 
 let ablation_dynamic () =
   section "A1 - dynamic vs static gateway thresholds (35 clients)";
@@ -487,15 +485,11 @@ let memory_sweep () =
       (fun gib ->
         List.map
           (fun base ->
-            let config =
-              { base with Server.Config.memory_bytes = Dbmem.Units.gib gib }
-            in
-            Server.Experiment.cell ~config ~clients:30 ~warmup
-              ~measure:quick_measure ~slice:fig_slice ())
+            (30, { base with Server.Config.memory_bytes = Dbmem.Units.gib gib }))
           [ throttled_config 42; unthrottled_config 42 ])
       sizes
   in
-  let results = run_grid cells in
+  let results = run_grid ~measure:quick_measure cells in
   let rec pairs = function
     | on :: off :: rest -> (on, off) :: pairs rest
     | _ -> []
@@ -523,15 +517,17 @@ let snowflake () =
   (* One catalog/template list shared by both cells: read-only once built. *)
   let catalog = Workload.Snowflake.catalog () in
   let templates = Workload.Snowflake.templates () in
-  let cells =
-    List.map
-      (fun config ->
-        Server.Experiment.cell ~config ~catalog ~templates ~clients:30 ~warmup
-          ~measure:quick_measure ~slice:fig_slice ())
-      [ throttled_config 42; unthrottled_config 42 ]
+  let run config =
+    Server.Experiment.run ~config ~catalog ~templates ~clients:30 ~warmup
+      ~measure:quick_measure ~slice:fig_slice ()
   in
   let on, off =
-    match run_grid cells with [ a; b ] -> (a, b) | _ -> assert false
+    match
+      Parallel.Pool.run ~jobs:!jobs run
+        [ throttled_config 42; unthrottled_config 42 ]
+    with
+    | [ a; b ] -> (a, b)
+    | _ -> assert false
   in
   Server.Report.table
     ~header:("schema" :: Server.Report.result_header)
@@ -549,12 +545,11 @@ let snowflake () =
 let memory_trace () =
   section "Memory timelines - per-component usage, 30 clients";
   let results =
-    run_grid
-      (List.map
-         (fun config ->
-           Server.Experiment.cell ~config ~clients:30 ~warmup:0. ~measure:1800.
-             ~slice:fig_slice ())
-         [ throttled_config 42; unthrottled_config 42 ])
+    Parallel.Pool.run ~jobs:!jobs
+      (fun config ->
+        Server.Experiment.run ~config ~clients:30 ~warmup:0. ~measure:1800.
+          ~slice:fig_slice ())
+      [ throttled_config 42; unthrottled_config 42 ]
   in
   let show label (r : Server.Experiment.result) =
     Printf.printf "

@@ -321,16 +321,16 @@ type grid_outcome = {
 let grid_bench () =
   (* The paper's grid shape in miniature: throttling on/off at three
      client counts, one seed — six independent cells. *)
-  let mk config clients =
-    Server.Experiment.cell ~config ~clients ~warmup:30.
+  let run (config, clients) =
+    Server.Experiment.run ~config ~clients ~warmup:30.
       ~measure:(cell_measure ()) ~slice:60. ()
   in
   let cells =
     List.concat_map
       (fun clients ->
         [
-          mk { (Server.Config.default ()) with Server.Config.seed = 42 } clients;
-          mk { (Server.Config.unthrottled ()) with Server.Config.seed = 42 } clients;
+          ({ (Server.Config.default ()) with Server.Config.seed = 42 }, clients);
+          ({ (Server.Config.unthrottled ()) with Server.Config.seed = 42 }, clients);
         ])
       [ 10; 12; 14 ]
   in
@@ -343,7 +343,7 @@ let grid_bench () =
      pool that can only add overhead. *)
   let expected_speedup = float_of_int (min n_cells (min !jobs cores)) in
   let seq_results, seq_s =
-    wall (fun () -> Server.Experiment.run_grid ~jobs:1 cells)
+    wall (fun () -> Parallel.Pool.run ~jobs:1 run cells)
   in
   if !jobs = 1 then
     (* jobs=1 runs inline on the calling domain: a second grid run would
@@ -364,7 +364,7 @@ let grid_bench () =
     }
   else begin
     let par_results, par_s =
-      wall (fun () -> Server.Experiment.run_grid ~jobs:!jobs cells)
+      wall (fun () -> Parallel.Pool.run ~jobs:!jobs run cells)
     in
     let fingerprint results =
       (* Full structural equality: every series sample, stat and counter. *)

@@ -17,20 +17,26 @@ let cli_error msg =
   prerr_endline (error_line msg);
   exit Cmd.Exit.cli_error
 
-(* [conv] restricted to values above [zero]: an out-of-range value is a
+(* [conv] restricted to values [ok] accepts: an out-of-range value is a
    parse error, just like a malformed one. *)
-let positive ~zero ~expected conv =
+let restricted ~ok ~expected conv =
   let parse s =
     match Arg.conv_parser conv s with
-    | Ok v when compare v zero > 0 -> Ok v
+    | Ok v when ok v -> Ok v
     | Ok _ ->
         Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
     | Error _ as e -> e
   in
   Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
 
-let positive_int = positive ~zero:0 ~expected:"a positive integer" Arg.int
-let positive_float = positive ~zero:0. ~expected:"a positive number" Arg.float
+let positive_int =
+  restricted ~ok:(fun v -> v > 0) ~expected:"a positive integer" Arg.int
+
+let positive_float =
+  restricted ~ok:(fun v -> v > 0.) ~expected:"a positive number" Arg.float
+
+let non_negative_float =
+  restricted ~ok:(fun v -> v >= 0.) ~expected:"a non-negative number" Arg.float
 
 (* Flags several commands share, each with its own default. *)
 
@@ -38,7 +44,7 @@ let clients_arg ?(doc = "Number of concurrent clients.") default =
   Arg.(value & opt int default & info [ "clients"; "c" ] ~doc)
 
 let warmup_arg ?(doc = "Warm-up seconds (excluded from results).") default =
-  Arg.(value & opt float default & info [ "warmup" ] ~doc)
+  Arg.(value & opt non_negative_float default & info [ "warmup" ] ~doc)
 
 let measure_arg ?(doc = "Measured window, seconds.") default =
   Arg.(value & opt positive_float default & info [ "measure" ] ~doc)
@@ -152,22 +158,14 @@ let run_one ~clients ~throttle ~warmup ~measure ~slice ~seed =
     ~clients ~warmup ~measure ~slice ()
 
 (* Detailed single run that keeps the server around for resource stats. *)
-let run_verbose ~clients ~throttle ~warmup ~measure ~slice ~seed =
-  let cfg = config ~throttle ~seed in
-  let eng = Sim.Engine.create ~seed () in
-  let dbms = Server.Dbms.create eng cfg (Workload.Sales.catalog ()) in
-  Server.Dbms.start dbms;
-  let stats = Workload.Client.make_stats () in
-  let ids = ref 0 in
+let run_verbose ~clients ~throttle ~warmup ~measure ~seed =
   let stop = warmup +. measure in
-  let crng = Sim.Rng.split (Sim.Engine.rng eng) in
-  for i = 1 to clients do
-    Workload.Client.spawn eng crng ~name:(Printf.sprintf "c%d" i)
-      ~templates:(Workload.Sales.templates ())
-      ~submit:(fun q -> Server.Dbms.submit_catch dbms q)
-      ~config:Workload.Client.default_config ~stats ~ids ~until:stop
-  done;
-  Sim.Engine.run eng ~until:stop;
+  let { Server.Experiment.dbms; _ } =
+    Server.Experiment.closed_loop ~trace:Obs.Trace.null
+      (config ~throttle ~seed) Workload.Client.default_config
+      (Workload.Sales.catalog ()) (Workload.Sales.templates ()) ~clients ~stop
+      ~until:stop
+  in
   let m = Server.Dbms.metrics dbms in
   let grants = Server.Dbms.grants dbms in
   let disk = Server.Dbms.disk dbms in
@@ -195,13 +193,13 @@ let run_verbose ~clients ~throttle ~warmup ~measure ~slice ~seed =
   Format.printf "%a@." Qcore.Compile_gov.pp (Server.Dbms.governor dbms);
   Format.printf "compile: %a@.exec: %a@."
     Sim.Stats.Online.pp (Server.Metrics.compile_time m)
-    Sim.Stats.Online.pp (Server.Metrics.exec_time m);
-  ignore slice
+    Sim.Stats.Online.pp (Server.Metrics.exec_time m)
 
 
 let verbose_cmd =
-  let action clients throttle warmup measure slice seed =
-    run_verbose ~clients ~throttle ~warmup ~measure ~slice ~seed
+  (* --slice is accepted for symmetry with run; verbose prints no slices. *)
+  let action clients throttle warmup measure _slice seed =
+    run_verbose ~clients ~throttle ~warmup ~measure ~seed
   in
   Cmd.v (Cmd.info "verbose" ~doc:"Single run with resource diagnostics.")
     Term.(
@@ -239,12 +237,9 @@ let run_cmd =
 
 let compare_cmd =
   let action clients warmup measure slice seed csv jobs =
-    let cell throttle =
-      Server.Experiment.cell ~config:(config ~throttle ~seed) ~clients ~warmup
-        ~measure ~slice ()
-    in
+    let run throttle = run_one ~clients ~throttle ~warmup ~measure ~slice ~seed in
     let on, off =
-      match Server.Experiment.run_grid ~jobs [ cell true; cell false ] with
+      match Parallel.Pool.run ~jobs run [ true; false ] with
       | [ on; off ] -> (on, off)
       | _ -> assert false
     in
@@ -276,16 +271,11 @@ let sweep_cmd =
       & info [ "list" ] ~doc:"Client counts to sweep.")
   in
   let action counts throttle warmup measure slice seed jobs =
-    let cells =
-      List.map
-        (fun clients ->
-          Server.Experiment.cell ~config:(config ~throttle ~seed) ~clients
-            ~warmup ~measure ~slice ())
-        counts
-    in
     let rows =
       List.map Server.Report.result_row
-        (Server.Experiment.run_grid ~jobs cells)
+        (Parallel.Pool.run ~jobs
+           (fun clients -> run_one ~clients ~throttle ~warmup ~measure ~slice ~seed)
+           counts)
     in
     Server.Report.table ~header:Server.Report.result_header rows
   in
@@ -382,20 +372,20 @@ let chaos_cmd =
             { at; duration = window; fail_prob = glitch; clerks = [ "compile" ] } ]
       else []
     in
-    let cell resilient =
+    let run resilient =
       let base =
         if resilient then Server.Config.resilient () else Server.Config.default ()
       in
       let cfg = { base with Server.Config.seed; faults } in
       (* The shared catalog/templates are read-only during runs, so the
-         two cells may execute on different domains. *)
-      Server.Experiment.cell ~config:cfg ~catalog ~templates
+         two runs may execute on different domains. *)
+      Server.Experiment.run ~config:cfg ~catalog ~templates
         ~client_config:
           { Workload.Client.default_config with Workload.Client.think_mean = think }
         ~clients ~warmup ~measure ~slice ()
     in
     let on, off =
-      match Server.Experiment.run_grid ~jobs [ cell true; cell false ] with
+      match Parallel.Pool.run ~jobs run [ true; false ] with
       | [ on; off ] -> (on, off)
       | _ -> assert false
     in
@@ -638,7 +628,7 @@ let fan_out fan ~arms ?(validate = ignore)
 let health_cmd =
   let drain_arg =
     Arg.(
-      value & opt float 900.
+      value & opt non_negative_float 900.
       & info [ "drain" ]
           ~doc:"Extra seconds after clients stop, so in-flight queries can \
                 finish; anything still watched after the drain is stuck.")

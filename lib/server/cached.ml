@@ -68,8 +68,10 @@ let validate cfg =
     invalid_arg "Cached.run: ratio outside [0, 1]";
   if cfg.k_variants < 1 then invalid_arg "Cached.run: variants < 1";
   if cfg.k_writers < 0 then invalid_arg "Cached.run: writers < 0";
-  if cfg.k_warmup < 0. || cfg.k_measure <= 0. || cfg.k_slice <= 0. then
-    invalid_arg "Cached.run: bad warmup/measure/slice";
+  Config.check_window ~who:"Cached.run" ~warmup:cfg.k_warmup
+    ~measure:cfg.k_measure ~slice:cfg.k_slice;
+  if cfg.k_think < 0. then invalid_arg "Cached.run: think < 0";
+  if cfg.k_ttl < 0. then invalid_arg "Cached.run: ttl < 0";
   if cfg.k_memory < Dbmem.Units.mib 512 then
     invalid_arg "Cached.run: less than 512 MiB of machine memory";
   (if cfg.k_mode <> Cache_off then
@@ -146,16 +148,10 @@ let run ?(trace = Obs.Trace.null) cfg =
   validate cfg;
   let eng = Sim.Engine.create ~seed:cfg.k_seed () in
   let stop = cfg.k_warmup +. cfg.k_measure in
-  let base = Config.default () in
   let server_cfg =
     {
-      base with
-      Config.memory_bytes = cfg.k_memory;
-      seed = cfg.k_seed;
-      min_pool_bytes = min base.Config.min_pool_bytes (cfg.k_memory / 8);
-      min_workspace_bytes =
-        min base.Config.min_workspace_bytes (cfg.k_memory / 8);
-      plan_cache_floor_bytes =
+      (Config.sliced ~memory:cfg.k_memory ~seed:cfg.k_seed) with
+      Config.plan_cache_floor_bytes =
         min (Dbmem.Units.mib 64) (cfg.k_memory / 16);
       faults = faults_of cfg;
     }
@@ -185,18 +181,19 @@ let run ?(trace = Obs.Trace.null) cfg =
             { Midcache.Cache.default_config with ttl = cfg.k_ttl }
         in
         (if cfg.k_mode = Cache_brokered then
+           let shrink wanted =
+             let freed = Midcache.Cache.shrink cache wanted in
+             if freed > 0 then begin
+               incr shrink_events;
+               shrink_freed := !shrink_freed + freed;
+               emit (Obs.Event.Midcache_shrink { wanted; freed })
+             end;
+             freed
+           in
            let shrink_to target =
              let target = max cache_floor target in
              let r = Midcache.Cache.resident cache in
-             if r > target then begin
-               let wanted = r - target in
-               let freed = Midcache.Cache.shrink cache wanted in
-               if freed > 0 then begin
-                 incr shrink_events;
-                 shrink_freed := !shrink_freed + freed;
-                 emit (Obs.Event.Midcache_shrink { wanted; freed })
-               end
-             end;
+             if r > target then ignore (shrink (r - target));
              Midcache.Cache.set_budget cache target
            in
            ignore
@@ -209,14 +206,7 @@ let run ?(trace = Obs.Trace.null) cfg =
                   | Qcore.Broker.Can_grow ->
                       Midcache.Cache.set_budget cache cfg.k_cache_bytes
                   | Qcore.Broker.Hold_rate -> ())
-                ~reclaim:(fun wanted ->
-                  let freed = Midcache.Cache.shrink cache wanted in
-                  if freed > 0 then begin
-                    incr shrink_events;
-                    shrink_freed := !shrink_freed + freed;
-                    emit (Obs.Event.Midcache_shrink { wanted; freed })
-                  end;
-                  freed)
+                ~reclaim:shrink
                 ()));
         Some cache
   in
@@ -309,25 +299,11 @@ let run ?(trace = Obs.Trace.null) cfg =
           end
         done)
   done;
-  Sim.Engine.run eng ~until:stop;
-  (* Drain: clients have stopped; give in-flight queries a grace window
-     to come home before the books are read. *)
-  Sim.Engine.run eng ~until:(stop +. 300.);
-  (match Sim.Engine.failures eng with
-  | [] -> ()
-  | (pname, exn, time) :: _ as fs ->
-      failwith
-        (Printf.sprintf
-           "cached simulation process failures (%d), first: %s at %.1f: %s"
-           (List.length fs) pname time (Printexc.to_string exn)));
+  (* Drain: clients stop at [stop]; give in-flight queries a grace
+     window to come home before the books are read. *)
+  Sim.Engine.run_checked eng ~label:"cached" ~until:(stop +. 300.);
   let slices =
     Sim.Series.bucket_sum series ~start:cfg.k_warmup ~stop ~width:cfg.k_slice
-  in
-  let mean_per_slice =
-    if Array.length slices = 0 then 0.
-    else
-      Array.fold_left (fun a (_, v) -> a +. v) 0. slices
-      /. float_of_int (Array.length slices)
   in
   let monitors = Qcore.Compile_gov.monitors (Dbms.governor dbms) in
   let gw_acquires =
@@ -348,35 +324,28 @@ let run ?(trace = Obs.Trace.null) cfg =
   in
   let metrics = Dbms.metrics dbms in
   let peak = Metrics.compile_peak metrics in
+  let cached f = Option.fold ~none:0 ~some:f cache in
   {
     o_config = cfg;
     slices;
-    mean_per_slice;
+    mean_per_slice = Sim.Series.slice_mean slices;
     completed =
       Array.length (Sim.Series.values_between series ~start:cfg.k_warmup ~stop);
     requests = Midcache.Frontend.requests frontend;
     hits = Midcache.Frontend.hits frontend;
     misses = Midcache.Frontend.misses frontend;
     bypasses = Midcache.Frontend.bypasses frontend;
-    stores =
-      (match cache with None -> 0 | Some c -> Midcache.Cache.stores c);
-    refused =
-      (match cache with None -> 0 | Some c -> Midcache.Cache.refused c);
-    evictions =
-      (match cache with None -> 0 | Some c -> Midcache.Cache.evictions c);
-    expired =
-      (match cache with None -> 0 | Some c -> Midcache.Cache.expired c);
-    invalidated =
-      (match cache with None -> 0 | Some c -> Midcache.Cache.invalidated c);
-    cache_hit_rate =
-      (match cache with None -> 0. | Some c -> Midcache.Cache.hit_rate c);
+    stores = cached Midcache.Cache.stores;
+    refused = cached Midcache.Cache.refused;
+    evictions = cached Midcache.Cache.evictions;
+    expired = cached Midcache.Cache.expired;
+    invalidated = cached Midcache.Cache.invalidated;
+    cache_hit_rate = Option.fold ~none:0. ~some:Midcache.Cache.hit_rate cache;
     shrink_events = !shrink_events;
     shrink_freed = !shrink_freed;
-    resident_end =
-      (match cache with None -> 0 | Some c -> Midcache.Cache.resident c);
+    resident_end = cached Midcache.Cache.resident;
     resident_peak = !resident_peak;
-    budget_end =
-      (match cache with None -> 0 | Some c -> Midcache.Cache.budget c);
+    budget_end = cached Midcache.Cache.budget;
     gw_acquires;
     gw_timeouts;
     gw_wait_mean_s;

@@ -37,7 +37,7 @@ type config = {
   k_slice : float;
   k_memory : int;  (** machine bytes *)
   k_cache_bytes : int;  (** fixed budget / brokered cap *)
-  k_ttl : float;  (** entry lifetime; [<= 0.] disables expiry *)
+  k_ttl : float;  (** entry lifetime; [0.] disables expiry *)
   k_hit_latency : float;
   k_ballast_gib : float;  (** [0.] = no injected pressure *)
   k_diurnal : Workload.Mix.diurnal option;
@@ -47,7 +47,9 @@ type config = {
 
 val default_config : config
 
-(** Raises [Invalid_argument] on nonsensical parameters. *)
+(** Raises [Invalid_argument] on nonsensical parameters: no clients, a
+    ratio outside \[0, 1\], a bad window ({!Config.check_window}), a
+    negative think time, ttl, hit latency or ballast, ... *)
 val validate : config -> unit
 
 (** Plain data in, plain data out: an outcome is a pure function of the

@@ -100,6 +100,28 @@ let default () =
     faults = [];
   }
 
+let sliced ~memory ~seed =
+  let base = default () in
+  {
+    base with
+    memory_bytes = memory;
+    seed;
+    min_pool_bytes = min base.min_pool_bytes (memory / 8);
+    min_workspace_bytes = min base.min_workspace_bytes (memory / 8);
+  }
+
+let pool_arbiter =
+  {
+    Qcore.Arbiter.interval = 2.0;
+    horizon = 5.0;
+    window = 10;
+    deadband = 8 * 1024 * 1024;
+  }
+
+let check_window ~who ~warmup ~measure ~slice =
+  if warmup < 0. || measure <= 0. || slice <= 0. then
+    invalid_arg (who ^ ": bad warmup/measure/slice")
+
 let resilient () = { (default ()) with resilience = Resilience.default }
 
 let supervised () =

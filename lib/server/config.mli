@@ -67,6 +67,23 @@ type t = {
 
 val default : unit -> t
 
+(** [sliced ~memory ~seed] is {!default} on a [memory]-byte slice of a
+    machine (a tenant pool, a shard, the cache testbed): the broker's
+    buffer-pool and workspace floors drop to [memory / 8] where the
+    defaults would not fit. *)
+val sliced : memory:int -> seed:int -> t
+
+(** The machine-level arbiter's tuning over {!sliced} server pools
+    (tenant pools, shards): a 2 s tick, a 5 s demand horizon. *)
+val pool_arbiter : Qcore.Arbiter.config
+
+(** [check_window ~who ~warmup ~measure ~slice] raises
+    [Invalid_argument "<who>: bad warmup/measure/slice"] unless
+    [warmup >= 0], [measure > 0] and [slice > 0] — the measurement window
+    every scenario config carries. *)
+val check_window :
+  who:string -> warmup:float -> measure:float -> slice:float -> unit
+
 (** [default] with the full resilience policy switched on. *)
 val resilient : unit -> t
 

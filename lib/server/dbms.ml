@@ -813,6 +813,23 @@ let reclaim t n =
   else
     Dbmem.Manager.demand t.manager (Dbmem.Manager.available t.manager + n)
 
+(* The pool's demand signal is its broker's aggregate prediction, scaled
+   back up by the reserved fraction the broker holds out — so the arbiter
+   sizes the whole pool, not just its brokered part. *)
+let join_arbiter t arb ~name ~weight ~min_share ~max_share =
+  let reserved = t.cfg.Config.broker.Qcore.Broker.reserved_fraction in
+  let demand () =
+    int_of_float
+      (float_of_int (Qcore.Broker.predicted_total t.broker) /. (1. -. reserved))
+  in
+  Qcore.Arbiter.register arb ~name ~weight ~min_share ~max_share
+    ~budget:t.cfg.Config.memory_bytes
+    ~used:(fun () -> Dbmem.Manager.used t.manager)
+    ~demand
+    ~set_budget:(fun b -> Dbmem.Manager.set_total t.manager b)
+    ~reclaim:(fun n -> reclaim t n)
+    ()
+
 (* Snapshot of what the supervision layer saw and did. Meaningful for an
    unsupervised server too: the error budget and completion counts come
    from the metrics, with all supervision counters at zero. *)

@@ -78,6 +78,21 @@ val install_faults :
     budget below its usage. *)
 val reclaim : t -> int -> int
 
+(** [join_arbiter t arb ~name ~weight ~min_share ~max_share] registers
+    this server as one of [arb]'s pools, starting at its configured
+    memory. The arbiter samples the broker's predicted aggregate, scaled
+    up by the broker's reserved fraction, as the pool's demand; a
+    rebalance resizes the memory manager, and a shrink below usage is
+    answered by {!reclaim}. Call before {!Qcore.Arbiter.start}. *)
+val join_arbiter :
+  t ->
+  Qcore.Arbiter.t ->
+  name:string ->
+  weight:float ->
+  min_share:float ->
+  max_share:float ->
+  Qcore.Arbiter.pool
+
 (** Snapshot the supervision layer's books: per-code error budget,
     watchdog / breaker / starvation counters, forced reclaims. [since]
     bounds the completion count and duration (default [0.]). Meaningful

@@ -31,25 +31,18 @@ type result = {
   memory_series : (string * Sim.Series.t) list;
 }
 
-let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
-    ~warmup ~measure ~slice () =
-  let cfg = match config with Some c -> c | None -> Config.default () in
-  let cfg = match seed with Some s -> { cfg with Config.seed = s } | None -> cfg in
-  let client_config =
-    match client_config with
-    | Some c -> c
-    | None -> Workload.Client.default_config
-  in
-  let cat = match catalog with Some c -> c | None -> Workload.Sales.catalog () in
-  let templates =
-    match templates with Some t -> t | None -> Workload.Sales.templates ()
-  in
+type loop = {
+  dbms : Dbms.t;
+  client_stats : Workload.Client.stats;
+  injector : Faultsim.Injector.t option;
+}
+
+let closed_loop ~trace cfg client_config cat templates ~clients ~stop ~until =
   let eng = Sim.Engine.create ~seed:cfg.Config.seed () in
-  let dbms = Dbms.create ?trace eng cfg cat in
+  let dbms = Dbms.create ~trace eng cfg cat in
   Dbms.start dbms;
   let stats = Workload.Client.make_stats () in
   let ids = ref 0 in
-  let stop = warmup +. measure in
   (* Burst clients share the workload's stats/ids so conservation
      invariants (attempts >= submitted, ...) keep holding under chaos. *)
   let spawn_burst ~clients ~think_mean ~until =
@@ -72,25 +65,34 @@ let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
       ~submit:(fun q -> Dbms.submit_catch dbms q)
       ~config:client_config ~stats ~ids ~until:stop
   done;
-  Sim.Engine.run eng ~until:stop;
-  (match Sim.Engine.failures eng with
-  | [] -> ()
-  | (name, exn, time) :: _ as fs ->
-      failwith
-        (Printf.sprintf "simulation process failures (%d), first: %s at %.1f: %s"
-           (List.length fs) name time (Printexc.to_string exn)));
+  Sim.Engine.run_checked eng ~label:"experiment" ~until;
+  { dbms; client_stats = stats; injector }
+
+let run ?config ?client_config ?catalog ?templates ?seed
+    ?(trace = Obs.Trace.null) ~clients ~warmup ~measure ~slice () =
+  let cfg = match config with Some c -> c | None -> Config.default () in
+  let cfg = match seed with Some s -> { cfg with Config.seed = s } | None -> cfg in
+  let client_config =
+    match client_config with
+    | Some c -> c
+    | None -> Workload.Client.default_config
+  in
+  let cat = match catalog with Some c -> c | None -> Workload.Sales.catalog () in
+  let templates =
+    match templates with Some t -> t | None -> Workload.Sales.templates ()
+  in
+  let stop = warmup +. measure in
+  let { dbms; client_stats; injector } =
+    closed_loop ~trace cfg client_config cat templates ~clients ~stop
+      ~until:stop
+  in
   let metrics = Dbms.metrics dbms in
   let slices = Metrics.throughput metrics ~start:warmup ~stop ~width:slice in
   let total_completed = Metrics.total_completions metrics ~since:warmup () in
-  let mean_per_slice =
-    if Array.length slices = 0 then 0.
-    else
-      Array.fold_left (fun acc (_, v) -> acc +. v) 0. slices
-      /. float_of_int (Array.length slices)
-  in
   let ct = Metrics.compile_time metrics and et = Metrics.exec_time metrics in
   let peak = Metrics.compile_peak metrics in
   let safe f s = if Sim.Stats.Online.count s = 0 then 0. else f s in
+  let injected f = Option.fold ~none:0 ~some:f injector in
   {
     clients;
     throttled = cfg.Config.throttle_enabled;
@@ -99,7 +101,7 @@ let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
     measure;
     slice;
     slices;
-    mean_per_slice;
+    mean_per_slice = Sim.Series.slice_mean slices;
     total_completed;
     total_errors = Metrics.total_errors metrics;
     hard_errors = Metrics.hard_errors metrics;
@@ -108,21 +110,11 @@ let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
     degraded = Metrics.degraded metrics;
     errors =
       List.map (fun (k, n) -> (Health.Error.code_name k, n)) (Metrics.errors metrics);
-    faults_started =
-      (match injector with Some i -> Faultsim.Injector.started i | None -> 0);
-    faults_finished =
-      (match injector with
-      | Some i -> Faultsim.Injector.finished i
-      | None -> 0);
-    ballast_peak =
-      (match injector with
-      | Some i -> Faultsim.Injector.ballast_peak i
-      | None -> 0);
-    ballast_refused =
-      (match injector with
-      | Some i -> Faultsim.Injector.ballast_refused i
-      | None -> 0);
-    client_stats = stats;
+    faults_started = injected Faultsim.Injector.started;
+    faults_finished = injected Faultsim.Injector.finished;
+    ballast_peak = injected Faultsim.Injector.ballast_peak;
+    ballast_refused = injected Faultsim.Injector.ballast_refused;
+    client_stats;
     compile_mean_s = safe Sim.Stats.Online.mean ct;
     compile_max_s = safe Sim.Stats.Online.max ct;
     exec_mean_s = safe Sim.Stats.Online.mean et;
@@ -134,51 +126,6 @@ let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
     cpu_utilization = Execsim.Cpu.utilization (Dbms.cpu dbms);
     memory_series = Metrics.memory_series metrics;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Grids: independent (config, clients, seed) cells fanned over a domain
-   pool. Each cell is self-contained — [run] builds a fresh engine (own
-   RNG), server, metrics, client stats and trace sink per call, and
-   nothing in the library holds top-level mutable state — so cells can
-   execute on any domain in any order. Results come back in submission
-   order, which keeps grid output byte-identical to a sequential run. *)
-
-type cell = {
-  cell_config : Config.t option;
-  cell_client_config : Workload.Client.config option;
-  cell_catalog : Optimizer.Catalog.t option;
-  cell_templates : Workload.Template.t list option;
-  cell_seed : int option;
-  cell_clients : int;
-  cell_warmup : float;
-  cell_measure : float;
-  cell_slice : float;
-}
-
-let cell ?config ?client_config ?catalog ?templates ?seed ~clients ~warmup
-    ~measure ~slice () =
-  {
-    cell_config = config;
-    cell_client_config = client_config;
-    cell_catalog = catalog;
-    cell_templates = templates;
-    cell_seed = seed;
-    cell_clients = clients;
-    cell_warmup = warmup;
-    cell_measure = measure;
-    cell_slice = slice;
-  }
-
-let run_cell c =
-  run ?config:c.cell_config ?client_config:c.cell_client_config
-    ?catalog:c.cell_catalog ?templates:c.cell_templates ?seed:c.cell_seed
-    ~clients:c.cell_clients ~warmup:c.cell_warmup ~measure:c.cell_measure
-    ~slice:c.cell_slice ()
-
-let run_grid ?pool ?(jobs = 1) cells =
-  match pool with
-  | Some p -> Parallel.Pool.map p run_cell cells
-  | None -> Parallel.Pool.run ~jobs run_cell cells
 
 let uplift a b =
   (* 0., not nan, against a zero baseline — callers print this straight

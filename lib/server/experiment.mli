@@ -36,11 +36,42 @@ type result = {
   memory_series : (string * Sim.Series.t) list;
 }
 
+(** A SALES closed loop on one server, after its engine ran: the live
+    server (every component still inspectable), the clients' stats and
+    the fault injector ([None] without a fault schedule). *)
+type loop = {
+  dbms : Dbms.t;
+  client_stats : Workload.Client.stats;
+  injector : Faultsim.Injector.t option;
+}
+
+(** [closed_loop ~trace cfg client_config cat templates ~clients ~stop
+    ~until] builds a server from [cfg] on a fresh engine seeded with
+    [cfg.seed], installs [cfg.faults] (burst clients share the workload's
+    templates and stats), starts [clients] closed-loop clients that
+    submit until [stop], and runs the engine to [until] ([until > stop]
+    leaves a drain in which in-flight queries finish). Raises [Failure]
+    if any simulation process died (model bug). *)
+val closed_loop :
+  trace:Obs.Trace.t ->
+  Config.t ->
+  Workload.Client.config ->
+  Optimizer.Catalog.t ->
+  Workload.Template.t list ->
+  clients:int ->
+  stop:float ->
+  until:float ->
+  loop
+
 (** [run ?config ?client_config ?catalog ?templates ?seed ~clients ~warmup
-    ~measure ~slice ()] — defaults: the SALES benchmark on the paper's
-    server. Any fault schedule in [config.faults] is installed before the
-    clients start (burst clients share the workload templates and stats).
-    Raises [Failure] if any simulation process died (model bug). *)
+    ~measure ~slice ()] is {!closed_loop} to [warmup + measure], read
+    into a result — defaults: the SALES benchmark on the paper's server.
+    Each call builds its own engine, RNG, server, metrics and client
+    stats, so independent runs can fan out over a {!Parallel.Pool} as
+    [unit -> result] thunks; the results, and any output rendered from
+    them, are then the same at any job count. A catalog or template list
+    shared between such runs must be treated as read-only. Raises
+    [Failure] if any simulation process died (model bug). *)
 val run :
   ?config:Config.t ->
   ?client_config:Workload.Client.config ->
@@ -54,40 +85,6 @@ val run :
   slice:float ->
   unit ->
   result
-
-(** One independent grid cell: the arguments of a single {!run} call.
-    Cells carry no live state, so a grid of them can be fanned over a
-    {!Parallel.Pool} — each cell builds its own engine, RNG, server,
-    metrics and client stats when it runs. A catalog or template list
-    passed explicitly may be shared between cells but must then be
-    treated as read-only. *)
-type cell
-
-val cell :
-  ?config:Config.t ->
-  ?client_config:Workload.Client.config ->
-  ?catalog:Optimizer.Catalog.t ->
-  ?templates:Workload.Template.t list ->
-  ?seed:int ->
-  clients:int ->
-  warmup:float ->
-  measure:float ->
-  slice:float ->
-  unit ->
-  cell
-
-(** [run_cell c] is {!run} with the cell's arguments. *)
-val run_cell : cell -> result
-
-(** [run_grid ?pool ?jobs cells] runs every cell and returns the results
-    in submission order. With [~jobs:1] (the default) cells run
-    sequentially on the calling domain; with [~jobs:n] they fan out over
-    a temporary n-domain pool ([Invalid_argument] if [n < 1]); with
-    [?pool] they reuse the given pool.
-    Because each cell is deterministic given its own seed, the results —
-    and hence any output rendered from them — are identical whichever
-    way the grid is executed. *)
-val run_grid : ?pool:Parallel.Pool.t -> ?jobs:int -> cell list -> result list
 
 (** Relative throughput uplift of [a] over [b] (e.g. throttled over
     unthrottled), from mean completions per slice. [0.] when the

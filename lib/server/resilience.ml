@@ -76,9 +76,10 @@ module Budget = struct
   type t = {
     cfg : config;
     mutable balance : float;
-    mutable earned : float;  (* cumulative, before the cap *)
+    mutable earns : int;  (* successes credited, before the cap *)
     mutable capped : float;  (* earnings discarded at the cap *)
-    mutable spent : float;
+    mutable capped_err : float;  (* Kahan compensation for [capped] *)
+    mutable spends : int;  (* retries paid for *)
     mutable denied : int;
   }
 
@@ -91,16 +92,17 @@ module Budget = struct
     {
       cfg;
       balance = Float.min cfg.initial cfg.max_tokens;
-      earned = 0.;
+      earns = 0;
       capped = 0.;
-      spent = 0.;
+      capped_err = 0.;
+      spends = 0;
       denied = 0;
     }
 
   let try_spend t =
     if t.balance >= t.cfg.spend_per_retry then begin
       t.balance <- t.balance -. t.cfg.spend_per_retry;
-      t.spent <- t.spent +. t.cfg.spend_per_retry;
+      t.spends <- t.spends + 1;
       true
     end
     else begin
@@ -108,19 +110,27 @@ module Budget = struct
       false
     end
 
+  (* The cumulative ledgers are kept free of rounding drift so the
+     conservation invariant holds to an ulp over any run length: [earned]
+     and [spent] are counts times their rates, and [capped] is a
+     compensated (Kahan) sum. Plain running sums of thousands of equal
+     increments drift by more than 1e-9 from [balance]. *)
   let earn t =
-    t.earned <- t.earned +. t.cfg.earn_per_success;
+    t.earns <- t.earns + 1;
     let next = t.balance +. t.cfg.earn_per_success in
     if next > t.cfg.max_tokens then begin
-      t.capped <- t.capped +. (next -. t.cfg.max_tokens);
+      let y = next -. t.cfg.max_tokens -. t.capped_err in
+      let sum = t.capped +. y in
+      t.capped_err <- sum -. t.capped -. y;
+      t.capped <- sum;
       t.balance <- t.cfg.max_tokens
     end
     else t.balance <- next
 
   let balance t = t.balance
-  let earned t = t.earned
+  let earned t = float_of_int t.earns *. t.cfg.earn_per_success
   let capped t = t.capped
-  let spent t = t.spent
+  let spent t = float_of_int t.spends *. t.cfg.spend_per_retry
   let denied t = t.denied
   let config t = t.cfg
 end

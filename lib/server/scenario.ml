@@ -24,59 +24,26 @@ type outcome = {
 
 let run_chaos ?(config = Config.supervised ()) ?faults ?seed ?(clients = 35)
     ?(warmup = 60.) ?(measure = 1000.) ?(drain = 900.) ?(think_mean = 100.)
-    ?trace () =
+    ?(trace = Obs.Trace.null) () =
   let faults = match faults with Some f -> f | None -> chaos_faults () in
   let cfg = { config with Config.faults } in
   let cfg =
     match seed with Some s -> { cfg with Config.seed = s } | None -> cfg
   in
-  let eng = Sim.Engine.create ~seed:cfg.Config.seed () in
-  let dbms = Dbms.create ?trace eng cfg (Workload.Sales.catalog ()) in
-  Dbms.start dbms;
-  let stats = Workload.Client.make_stats () in
-  let ids = ref 0 in
   let stop = warmup +. measure in
-  let templates = Workload.Sales.templates () in
-  let client_config =
-    { Workload.Client.default_config with Workload.Client.think_mean }
-  in
-  let spawn_burst ~clients ~think_mean ~until =
-    let burst_rng = Sim.Rng.split (Sim.Engine.rng eng) in
-    for i = 1 to clients do
-      Workload.Client.spawn eng burst_rng
-        ~name:(Printf.sprintf "burst-%d" i)
-        ~templates
-        ~submit:(fun q -> Dbms.submit_catch dbms q)
-        ~config:{ client_config with Workload.Client.think_mean }
-        ~stats ~ids
-        ~until:(Float.min until stop)
-    done
-  in
-  ignore (Dbms.install_faults ~spawn_burst dbms);
-  let client_rng = Sim.Rng.split (Sim.Engine.rng eng) in
-  for i = 1 to clients do
-    Workload.Client.spawn eng client_rng
-      ~name:(Printf.sprintf "client-%d" i)
-      ~templates
-      ~submit:(fun q -> Dbms.submit_catch dbms q)
-      ~config:client_config ~stats ~ids ~until:stop
-  done;
   (* Clients stop submitting at [stop]; the drain window lets in-flight
      queries finish so a session still watched at the end really is stuck,
      not merely truncated by the clock. *)
-  Sim.Engine.run eng ~until:(stop +. drain);
-  (match Sim.Engine.failures eng with
-  | [] -> ()
-  | (name, exn, time) :: _ as fs ->
-      failwith
-        (Printf.sprintf
-           "simulation process failures (%d), first: %s at %.1f: %s"
-           (List.length fs) name time (Printexc.to_string exn)));
-  let report = Dbms.health_report dbms ~since:warmup () in
+  let { Experiment.dbms; client_stats; _ } =
+    Experiment.closed_loop ~trace cfg
+      { Workload.Client.default_config with Workload.Client.think_mean }
+      (Workload.Sales.catalog ()) (Workload.Sales.templates ()) ~clients ~stop
+      ~until:(stop +. drain)
+  in
   {
     dbms;
-    report;
+    report = Dbms.health_report dbms ~since:warmup ();
     completed = Metrics.total_completions (Dbms.metrics dbms) ~since:warmup ();
     faults;
-    client_stats = stats;
+    client_stats;
   }

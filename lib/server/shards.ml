@@ -119,89 +119,26 @@ type outcome = {
   shard_results : shard_result list;
 }
 
-let arbiter_config =
-  {
-    Qcore.Arbiter.interval = 2.0;
-    horizon = 5.0;
-    window = 10;
-    deadband = 8 * 1024 * 1024;
-  }
-
 let validate cfg =
   if cfg.c_shards < 2 then invalid_arg "Shards.run: need at least 2 shards";
   if cfg.c_clients < 1 then invalid_arg "Shards.run: clients < 1";
   if cfg.c_variants < 1 then invalid_arg "Shards.run: variants < 1";
   if cfg.c_total / cfg.c_shards < 64 * 1024 * 1024 then
     invalid_arg "Shards.run: less than 64 MiB per shard";
-  if cfg.c_warmup < 0. || cfg.c_measure <= 0. || cfg.c_slice <= 0. then
-    invalid_arg "Shards.run: bad warmup/measure/slice"
+  Config.check_window ~who:"Shards.run" ~warmup:cfg.c_warmup
+    ~measure:cfg.c_measure ~slice:cfg.c_slice;
+  if cfg.c_think < 0. then invalid_arg "Shards.run: think < 0"
 
-let run ?trace cfg =
-  validate cfg;
-  let eng = Sim.Engine.create ~seed:cfg.c_seed () in
-  let stop = cfg.c_warmup +. cfg.c_measure in
-  let n = cfg.c_shards in
-  let budget = cfg.c_total / n in
-  let base = Config.default () in
-  let shard_cfg =
-    {
-      base with
-      Config.memory_bytes = budget;
-      seed = cfg.c_seed;
-      throttle_enabled = cfg.c_gateways;
-      min_pool_bytes = min base.Config.min_pool_bytes (budget / 8);
-      min_workspace_bytes = min base.Config.min_workspace_bytes (budget / 8);
-      (* The whole experiment hinges on warm plan caches: shield a small
-         floor (64 MiB comfortably holds every parameterized plan) so
-         buffer-pool pressure cannot silently evict the warm set and turn
-         the crash comparison into a no-op. *)
-      plan_cache_floor_bytes = min (Dbmem.Units.mib 64) (budget / 16);
-    }
-  in
-  let shards =
-    Array.init n (fun i ->
-        Shard.create ?trace eng ~index:i
-          ~name:(Printf.sprintf "shard%d" i)
-          shard_cfg (Workload.Sales.catalog ()))
-  in
-  (* One machine-level arbiter over the shard pools: symmetric claims, a
-     floor of half the fair share each and a cap of twice it, so a down
-     shard's memory is lendable but no survivor can swallow the machine. *)
-  let arbiter = Qcore.Arbiter.create ?trace eng ~total:cfg.c_total arbiter_config in
-  Array.iter
-    (fun sh ->
-      let dbms = Shard.dbms sh in
-      let manager = Dbms.manager dbms in
-      let reserved =
-        (Dbms.config dbms).Config.broker.Qcore.Broker.reserved_fraction
-      in
-      let demand () =
-        int_of_float
-          (float_of_int (Qcore.Broker.predicted_total (Dbms.broker dbms))
-          /. (1. -. reserved))
-      in
-      let pool =
-        Qcore.Arbiter.register arbiter ~name:(Shard.name sh) ~weight:1.0
-          ~min_share:(0.5 /. float_of_int n)
-          ~max_share:(Float.min 1.0 (2.0 /. float_of_int n))
-          ~budget
-          ~used:(fun () -> Dbmem.Manager.used manager)
-          ~demand
-          ~set_budget:(fun b -> Dbmem.Manager.set_total manager b)
-          ~reclaim:(fun k -> Dbms.reclaim dbms k)
-          ()
-      in
-      Shard.set_pool sh pool)
-    shards;
-  Qcore.Arbiter.start arbiter;
-  let router =
-    Router.create ?trace
-      ~cfg:{ Router.default_config with hedge_enabled = cfg.c_hedge }
-      eng shards
-  in
-  Router.set_measure_from router cfg.c_warmup;
-  (* Shard faults route through the injector so schedules validate, label
-     and replay exactly like single-server chaos schedules. *)
+let cluster ~trace eng ~shards cfg =
+  Array.init shards (fun i ->
+      Shard.create ~trace eng ~index:i
+        ~name:(Printf.sprintf "shard%d" i)
+        cfg (Workload.Sales.catalog ()))
+
+(* Shard faults route through the injector so schedules validate, label
+   and replay exactly like single-server chaos schedules. *)
+let inject eng shards faults =
+  let n = Array.length shards in
   let hooks =
     {
       Faultsim.Injector.null_hooks with
@@ -213,13 +150,54 @@ let run ?trace cfg =
           Shard.stall shards.(shard mod n) ~duration ~slow_factor);
     }
   in
-  (match faults_of cfg with
+  match faults with
   | [] -> ()
   | fs ->
       ignore
         (Faultsim.Injector.install eng
            ~rng:(Sim.Rng.split (Sim.Engine.rng eng))
-           ~hooks fs));
+           ~hooks fs)
+
+let run ?(trace = Obs.Trace.null) cfg =
+  validate cfg;
+  let eng = Sim.Engine.create ~seed:cfg.c_seed () in
+  let stop = cfg.c_warmup +. cfg.c_measure in
+  let n = cfg.c_shards in
+  let budget = cfg.c_total / n in
+  let shard_cfg =
+    {
+      (Config.sliced ~memory:budget ~seed:cfg.c_seed) with
+      Config.throttle_enabled = cfg.c_gateways;
+      (* The whole experiment hinges on warm plan caches: shield a small
+         floor (64 MiB comfortably holds every parameterized plan) so
+         buffer-pool pressure cannot silently evict the warm set and turn
+         the crash comparison into a no-op. *)
+      plan_cache_floor_bytes = min (Dbmem.Units.mib 64) (budget / 16);
+    }
+  in
+  let shards = cluster ~trace eng ~shards:n shard_cfg in
+  (* One machine-level arbiter over the shard pools: symmetric claims, a
+     floor of half the fair share each and a cap of twice it, so a down
+     shard's memory is lendable but no survivor can swallow the machine. *)
+  let arbiter =
+    Qcore.Arbiter.create ~trace eng ~total:cfg.c_total Config.pool_arbiter
+  in
+  Array.iter
+    (fun sh ->
+      Shard.set_pool sh
+        (Dbms.join_arbiter (Shard.dbms sh) arbiter ~name:(Shard.name sh)
+           ~weight:1.0
+           ~min_share:(0.5 /. float_of_int n)
+           ~max_share:(Float.min 1.0 (2.0 /. float_of_int n))))
+    shards;
+  Qcore.Arbiter.start arbiter;
+  let router =
+    Router.create ~trace
+      ~cfg:{ Router.default_config with hedge_enabled = cfg.c_hedge }
+      eng shards
+  in
+  Router.set_measure_from router cfg.c_warmup;
+  inject eng shards (faults_of cfg);
   (* Per-shard Chrome counters plus the budget-conservation watermark. *)
   let max_budget_sum = ref 0 in
   ignore
@@ -252,25 +230,11 @@ let run ?trace cfg =
         }
       ~stats ~ids ~until:stop
   done;
-  Sim.Engine.run eng ~until:stop;
-  (* Drain: clients have stopped; give in-flight queries (including any
-     abandoned hedge losers) a grace window to come home. *)
-  Sim.Engine.run eng ~until:(stop +. 600.);
-  (match Sim.Engine.failures eng with
-  | [] -> ()
-  | (pname, exn, time) :: _ as fs ->
-      failwith
-        (Printf.sprintf
-           "shard simulation process failures (%d), first: %s at %.1f: %s"
-           (List.length fs) pname time (Printexc.to_string exn)));
+  (* Drain: clients stop at [stop]; give in-flight queries (including
+     any abandoned hedge losers) a grace window to come home. *)
+  Sim.Engine.run_checked eng ~label:"shard" ~until:(stop +. 600.);
   let slices =
     Sim.Series.bucket_sum series ~start:cfg.c_warmup ~stop ~width:cfg.c_slice
-  in
-  let mean_per_slice =
-    if Array.length slices = 0 then 0.
-    else
-      Array.fold_left (fun a (_, v) -> a +. v) 0. slices
-      /. float_of_int (Array.length slices)
   in
   let lat = Router.latency router in
   let shard_results =
@@ -296,7 +260,7 @@ let run ?trace cfg =
   {
     o_config = cfg;
     slices;
-    mean_per_slice;
+    mean_per_slice = Sim.Series.slice_mean slices;
     completed =
       Array.length (Sim.Series.values_between series ~start:cfg.c_warmup ~stop);
     submitted = Router.submitted router;

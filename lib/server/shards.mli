@@ -94,9 +94,28 @@ type outcome = {
 }
 
 (** Raises [Invalid_argument] on nonsensical configs (fewer than 2
-    shards or clients or variants below 1, under 64 MiB per shard, empty
-    windows). {!run} calls it first. *)
+    shards or clients or variants below 1, under 64 MiB per shard, a bad
+    window ({!Config.check_window}), a negative think time). {!run} calls
+    it first. *)
 val validate : config -> unit
+
+(** {1 The shard cluster}
+
+    The pieces every sharded scenario builds the same way; {!Storms}
+    runs on them too. *)
+
+(** [cluster ~trace eng ~shards cfg] is [shards] shards named
+    [shard0], [shard1], ... on [eng], each a server built from [cfg] on
+    the SALES catalog. *)
+val cluster :
+  trace:Obs.Trace.t -> Sim.Engine.t -> shards:int -> Config.t -> Shard.t array
+
+(** [inject eng shards faults] schedules [faults] through a
+    {!Faultsim.Injector} whose shard hooks crash and stall
+    [shards.(shard mod n)] — so schedules validate, label and replay like
+    single-server chaos schedules. No-op (and no randomness drawn) on
+    [\[\]]. *)
+val inject : Sim.Engine.t -> Shard.t array -> Faultsim.Fault.spec list -> unit
 
 (** Run one cell. Plain-data in, plain-data out (no closures in either),
     so cells fan out over {!Parallel.Pool} and the outcome survives

@@ -154,8 +154,8 @@ let validate cfg =
   if cfg.s_variants < 1 then invalid_arg "Storms.run: variants < 1";
   if cfg.s_total / cfg.s_shards < 64 * 1024 * 1024 then
     invalid_arg "Storms.run: less than 64 MiB per shard";
-  if cfg.s_warmup < 0. || cfg.s_measure <= 0. || cfg.s_slice <= 0. then
-    invalid_arg "Storms.run: bad warmup/measure/slice";
+  Config.check_window ~who:"Storms.run" ~warmup:cfg.s_warmup
+    ~measure:cfg.s_measure ~slice:cfg.s_slice;
   if cfg.s_think <= 0. then invalid_arg "Storms.run: think <= 0";
   let bad_opt name = function
     | Some v when v <= 0. -> invalid_arg ("Storms.run: " ^ name ^ " <= 0")
@@ -168,26 +168,18 @@ let validate cfg =
   | Some k when k < 0 -> invalid_arg "Storms.run: warm-prime < 0"
   | _ -> ()
 
-let mean_of slices =
-  if Array.length slices = 0 then 0.
-  else
-    Array.fold_left (fun a (_, v) -> a +. v) 0. slices
-    /. float_of_int (Array.length slices)
-
-let run ?trace cfg =
+let run ?(trace = Obs.Trace.null) cfg =
   validate cfg;
   let eng = Sim.Engine.create ~seed:cfg.s_seed () in
   let stop = cfg.s_warmup +. cfg.s_measure in
   let n = cfg.s_shards in
   let budget = cfg.s_total / n in
-  let base = Config.default () in
+  let base = Config.sliced ~memory:budget ~seed:cfg.s_seed in
   let defense = defense_of cfg in
   let shard_cfg =
     {
       base with
-      Config.memory_bytes = budget;
-      seed = cfg.s_seed;
-      throttle_enabled = true;
+      Config.throttle_enabled = true;
       (* Plentiful execution hardware. The paper's premise is that
          compilation, not execution, is the scarce resource; on the
          default era-sized disk array this testbed saturates exec-side,
@@ -230,8 +222,6 @@ let run ?trace cfg =
               base.Config.throttle.Qcore.Throttle_config.levels;
         };
       defense;
-      min_pool_bytes = min base.Config.min_pool_bytes (budget / 8);
-      min_workspace_bytes = min base.Config.min_workspace_bytes (budget / 8);
       (* The storm is the point, but it must be a *trigger*, not ambient
          noise: shield the warm plan set from buffer-pool pressure so
          cold caches happen when the schedule says, not whenever the
@@ -239,13 +229,8 @@ let run ?trace cfg =
       plan_cache_floor_bytes = min (Dbmem.Units.mib 512) (budget / 8);
     }
   in
-  let shards =
-    Array.init n (fun i ->
-        Shard.create ?trace eng ~index:i
-          ~name:(Printf.sprintf "shard%d" i)
-          shard_cfg (Workload.Sales.catalog ()))
-  in
-  let router = Router.create ?trace eng shards in
+  let shards = Shards.cluster ~trace eng ~shards:n shard_cfg in
+  let router = Router.create ~trace eng shards in
   Router.set_measure_from router cfg.s_warmup;
   (* The trigger. A crash routes through the fault injector (same
      validation and labelling as every other chaos schedule); a mass
@@ -253,26 +238,15 @@ let run ?trace cfg =
      place, the purest form of the cold-cache stampede. *)
   (match cfg.s_schedule with
   | Cold_crash ->
-      let hooks =
-        {
-          Faultsim.Injector.null_hooks with
-          shard_crash =
-            (fun ~shard ~restart_delay ->
-              Shard.crash shards.(shard mod n) ~restart_delay);
-        }
-      in
-      ignore
-        (Faultsim.Injector.install eng
-           ~rng:(Sim.Rng.split (Sim.Engine.rng eng))
-           ~hooks
-           [
-             Faultsim.Fault.Shard_crash
-               {
-                 at = fault_at cfg;
-                 shard = 1;
-                 restart_delay = crash_restart_delay cfg;
-               };
-           ])
+      Shards.inject eng shards
+        [
+          Faultsim.Fault.Shard_crash
+            {
+              at = fault_at cfg;
+              shard = 1;
+              restart_delay = crash_restart_delay cfg;
+            };
+        ]
   | Mass_invalidation ->
       ignore
         (Sim.Engine.schedule eng ~delay:(fault_at cfg) (fun () ->
@@ -327,15 +301,9 @@ let run ?trace cfg =
         }
       ~stats ~ids ~until:stop
   done;
-  Sim.Engine.run eng ~until:stop;
-  Sim.Engine.run eng ~until:(stop +. 600.);
-  (match Sim.Engine.failures eng with
-  | [] -> ()
-  | (pname, exn, time) :: _ as fs ->
-      failwith
-        (Printf.sprintf
-           "storm simulation process failures (%d), first: %s at %.1f: %s"
-           (List.length fs) pname time (Printexc.to_string exn)));
+  (* Drain: clients stop at [stop]; in-flight queries get a grace
+     window to come home. *)
+  Sim.Engine.run_checked eng ~label:"storm" ~until:(stop +. 600.);
   let slices =
     Sim.Series.bucket_sum series ~start:cfg.s_warmup ~stop ~width:cfg.s_slice
   in
@@ -350,7 +318,7 @@ let run ?trace cfg =
     Array.of_seq
       (Seq.filter (fun (t, _) -> t >= t_fault) (Array.to_seq slices))
   in
-  let pre_rate = mean_of pre in
+  let pre_rate = Sim.Series.slice_mean pre in
   let recovery_s =
     (* Earliest post-trigger slice from which the rest of the window
        sustains 90% of the healthy rate (a suffix mean). A single lucky
@@ -403,7 +371,7 @@ let run ?trace cfg =
     o_config = cfg;
     slices;
     pre_rate;
-    post_rate = mean_of post;
+    post_rate = Sim.Series.slice_mean post;
     recovery_s;
     recovered = Float.is_finite recovery_s;
     retry_amp =

@@ -148,14 +148,6 @@ type live = {
   l_pool : Qcore.Arbiter.pool option;
 }
 
-let arbiter_config =
-  {
-    Qcore.Arbiter.interval = 2.0;
-    horizon = 5.0;
-    window = 10;
-    deadband = 8 * 1024 * 1024;
-  }
-
 let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
     ~slice () =
   let specs = if specs = [] then default_specs () else specs in
@@ -172,55 +164,29 @@ let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
     match mode with
     | Static -> None
     | Isolated | Free_for_all ->
-        Some (Qcore.Arbiter.create ?trace eng ~total:total_bytes arbiter_config)
+        Some
+          (Qcore.Arbiter.create ?trace eng ~total:total_bytes Config.pool_arbiter)
   in
   let stop = warmup +. measure in
   let lives =
     List.map2
       (fun s budget ->
-        let base = Config.default () in
         (* The pool's broker floors must fit inside a pool that may be a
            small slice of the machine. *)
-        let cfg =
-          {
-            base with
-            Config.memory_bytes = budget;
-            seed;
-            min_pool_bytes = min base.Config.min_pool_bytes (budget / 8);
-            min_workspace_bytes =
-              min base.Config.min_workspace_bytes (budget / 8);
-          }
+        let dbms =
+          Dbms.create ?trace eng
+            (Config.sliced ~memory:budget ~seed)
+            (catalog_of s.tworkload)
         in
-        let dbms = Dbms.create ?trace eng cfg (catalog_of s.tworkload) in
         Dbms.start dbms;
+        let min_share, max_share = shares_of ~mode s in
         let l_pool =
-          match arbiter with
-          | None -> None
-          | Some arb ->
-              let manager = Dbms.manager dbms in
-              let reserved =
-                (Dbms.config dbms).Config.broker.Qcore.Broker.reserved_fraction
-              in
-              (* The pool's demand signal is its broker's aggregate
-                 prediction, scaled back up by the reserved fraction the
-                 broker holds out — so the arbiter sizes the whole pool,
-                 not just its brokered part. *)
-              let demand () =
-                int_of_float
-                  (float_of_int (Qcore.Broker.predicted_total (Dbms.broker dbms))
-                  /. (1. -. reserved))
-              in
-              let min_share, max_share = shares_of ~mode s in
-              Some
-                (Qcore.Arbiter.register arb ~name:s.tname ~weight:s.tweight
-                   ~min_share ~max_share ~budget
-                   ~used:(fun () -> Dbmem.Manager.used manager)
-                   ~demand
-                   ~set_budget:(fun b -> Dbmem.Manager.set_total manager b)
-                   ~reclaim:(fun n -> Dbms.reclaim dbms n)
-                   ())
+          Option.map
+            (fun arb ->
+              Dbms.join_arbiter dbms arb ~name:s.tname ~weight:s.tweight
+                ~min_share ~max_share)
+            arbiter
         in
-        let min_share, _ = shares_of ~mode s in
         {
           l_spec = s;
           l_dbms = dbms;
@@ -264,25 +230,12 @@ let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
           ~stats:l.l_stats ~ids ~until:stop
       done)
     lives;
-  Sim.Engine.run eng ~until:stop;
-  (match Sim.Engine.failures eng with
-  | [] -> ()
-  | (name, exn, time) :: _ as fs ->
-      failwith
-        (Printf.sprintf
-           "tenant simulation process failures (%d), first: %s at %.1f: %s"
-           (List.length fs) name time (Printexc.to_string exn)));
+  Sim.Engine.run_checked eng ~label:"tenant" ~until:stop;
   let tenants =
     List.map
       (fun l ->
         let slices =
           Sim.Series.bucket_sum l.l_series ~start:warmup ~stop ~width:slice
-        in
-        let mean_per_slice =
-          if Array.length slices = 0 then 0.
-          else
-            Array.fold_left (fun a (_, v) -> a +. v) 0. slices
-            /. float_of_int (Array.length slices)
         in
         let completed =
           Array.length (Sim.Series.values_between l.l_series ~start:warmup ~stop)
@@ -292,7 +245,7 @@ let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
           rworkload = l.l_spec.tworkload;
           rclients = l.l_spec.tclients;
           slices;
-          mean_per_slice;
+          mean_per_slice = Sim.Series.slice_mean slices;
           completed;
           submitted = l.l_stats.Workload.Client.submitted;
           succeeded = l.l_stats.Workload.Client.succeeded;
@@ -309,6 +262,7 @@ let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
         })
       lives
   in
+  let arbitrated f = Option.fold ~none:0 ~some:f arbiter in
   {
     omode = mode;
     oseed = seed;
@@ -317,15 +271,11 @@ let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
     omeasure = measure;
     oslice = slice;
     tenants;
-    arb_ticks = (match arbiter with Some a -> Qcore.Arbiter.ticks a | None -> 0);
-    arb_rebalances =
-      (match arbiter with Some a -> Qcore.Arbiter.rebalances a | None -> 0);
-    arb_moved =
-      (match arbiter with Some a -> Qcore.Arbiter.moved_bytes a | None -> 0);
-    arb_reclaimed =
-      (match arbiter with Some a -> Qcore.Arbiter.reclaimed_bytes a | None -> 0);
-    arb_scarce =
-      (match arbiter with Some a -> Qcore.Arbiter.scarce a | None -> false);
+    arb_ticks = arbitrated Qcore.Arbiter.ticks;
+    arb_rebalances = arbitrated Qcore.Arbiter.rebalances;
+    arb_moved = arbitrated Qcore.Arbiter.moved_bytes;
+    arb_reclaimed = arbitrated Qcore.Arbiter.reclaimed_bytes;
+    arb_scarce = Option.fold ~none:false ~some:Qcore.Arbiter.scarce arbiter;
   }
 
 let solo ?(specs = []) ?trace ~victim ~total_bytes ~seed ~warmup ~measure ~slice

@@ -262,6 +262,15 @@ let run t ~until =
   in
   loop ()
 
+let run_checked t ~label ~until =
+  run t ~until;
+  match failures t with
+  | [] -> ()
+  | (name, exn, time) :: _ as fs ->
+      failwith
+        (Printf.sprintf "%s simulation process failures (%d), first: %s at %.1f: %s"
+           label (List.length fs) name time (Printexc.to_string exn))
+
 let run_all t = run t ~until:infinity
 
 let every t ?start ~interval f =

@@ -64,6 +64,12 @@ val self_name : unit -> string
     t_last_event]. May be called repeatedly to advance further. *)
 val run : t -> until:float -> unit
 
+(** [run_checked t ~label ~until] is {!run}, then raises [Failure] if any
+    process or callback has died ({!failures} non-empty): a model bug.
+    The message names [label] (the scenario family), the failure count
+    and the first failure's process, time and exception. *)
+val run_checked : t -> label:string -> until:float -> unit
+
 (** [run_all t] executes until the queue is empty. Beware of self-
     rescheduling periodic events. *)
 val run_all : t -> unit

@@ -66,6 +66,12 @@ let bucket_fold t ~start ~stop ~width ~init ~f =
 let bucket_sum t ~start ~stop ~width =
   bucket_fold t ~start ~stop ~width ~init:0. ~f:( +. )
 
+let slice_mean slices =
+  if Array.length slices = 0 then 0.
+  else
+    Array.fold_left (fun a (_, v) -> a +. v) 0. slices
+    /. float_of_int (Array.length slices)
+
 let bucket_mean t ~start ~stop ~width =
   let sums =
     bucket_fold t ~start ~stop ~width ~init:(0., 0) ~f:(fun (s, n) v ->

@@ -37,6 +37,10 @@ val to_arrays : t -> float array * float array
 val bucket_sum :
   t -> start:float -> stop:float -> width:float -> (float * float) array
 
+(** [slice_mean slices] is the mean per-slice value of a {!bucket_sum}
+    result; [0.], not [nan], when there are no slices. *)
+val slice_mean : (float * float) array -> float
+
 (** [bucket_mean] is like {!bucket_sum} but averages; empty slices are
     [nan]. *)
 val bucket_mean :

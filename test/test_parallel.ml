@@ -94,25 +94,29 @@ let test_shutdown_idempotent () =
 (* ------------------------------------------------------------------ *)
 (* Grid determinism: the point of the whole construction. *)
 
-let grid_cells ~seeds ~clients =
+(* A grid maps one run function over independent configs, each run with
+   its own engine and RNG. *)
+let grid_configs seeds =
   List.concat_map
     (fun seed ->
-      [
-        Server.Experiment.cell
-          ~config:{ (Server.Config.default ()) with Server.Config.seed }
-          ~clients ~warmup:5. ~measure:30. ~slice:10. ();
-        Server.Experiment.cell
-          ~config:{ (Server.Config.unthrottled ()) with Server.Config.seed }
-          ~clients ~warmup:5. ~measure:30. ~slice:10. ();
-      ])
+      List.map
+        (fun base -> { base with Server.Config.seed })
+        [ Server.Config.default (); Server.Config.unthrottled () ])
     seeds
+
+let run_grid ~jobs ~clients configs =
+  Pool.run ~jobs
+    (fun config ->
+      Server.Experiment.run ~config ~clients ~warmup:5. ~measure:30.
+        ~slice:10. ())
+    configs
 
 let fingerprint results = Marshal.to_string results [ Marshal.No_sharing ]
 
 let test_run_grid_parallel_equals_sequential () =
-  let cells = grid_cells ~seeds:[ 42; 7 ] ~clients:3 in
-  let seq = Server.Experiment.run_grid ~jobs:1 cells in
-  let par = Server.Experiment.run_grid ~jobs:4 cells in
+  let configs = grid_configs [ 42; 7 ] in
+  let seq = run_grid ~jobs:1 ~clients:3 configs in
+  let par = run_grid ~jobs:4 ~clients:3 configs in
   Alcotest.(check bool) "parallel grid = sequential grid" true
     (String.equal (fingerprint seq) (fingerprint par))
 
@@ -126,9 +130,9 @@ let prop_grid_deterministic_under_parallelism =
         (list_of_size Gen.(int_range 1 2) (int_range 0 10_000))
         (int_range 1 4))
     (fun (seeds, clients) ->
-      let cells = grid_cells ~seeds ~clients in
-      let seq = Server.Experiment.run_grid ~jobs:1 cells in
-      let par = Server.Experiment.run_grid ~jobs:4 cells in
+      let configs = grid_configs seeds in
+      let seq = run_grid ~jobs:1 ~clients configs in
+      let par = run_grid ~jobs:4 ~clients configs in
       String.equal (fingerprint seq) (fingerprint par))
 
 let suite =

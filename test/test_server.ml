@@ -262,8 +262,28 @@ let test_tenants_solo_stream_unchanged () =
   let s = find_tenant shared "calm" and a = find_tenant alone "calm" in
   Alcotest.(check int) "same submissions" s.submitted a.submitted
 
+(* A model bug surfaces as a dead simulation process; the checked run
+   every scenario ends with must turn it into one [Failure] naming the
+   family, the failure count and the first casualty. Clients with a
+   negative think time die on their first sleep, at t = 0. *)
+let test_checked_run_reports_dead_processes () =
+  let client_config =
+    { Workload.Client.default_config with Workload.Client.think_mean = -5. }
+  in
+  match
+    Server.Experiment.run ~client_config ~clients:2 ~warmup:0. ~measure:10.
+      ~slice:5. ()
+  with
+  | _ -> Alcotest.fail "a run whose clients all died returned a result"
+  | exception Failure msg ->
+      Alcotest.(check string) "failure message"
+        "experiment simulation process failures (2), first: client-1 at 0.0: \
+         Invalid_argument(\"Engine.sleep: negative delay\")"
+        msg
+
 let suite =
   [
+    ("checked run reports dead processes", `Quick, test_checked_run_reports_dead_processes);
     ("end-to-end completes queries", `Slow, test_end_to_end_completes_queries);
     ("metrics match client stats", `Slow, test_metrics_match_client_stats);
     ("throttling reduces errors", `Slow, test_throttling_reduces_errors_under_load);
