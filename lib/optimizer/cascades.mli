@@ -58,34 +58,61 @@ type result = { plan : Plan.t; cost : float; outcome : outcome; stats : stats }
 
 (** {1 Memo arena}
 
-    Reusable structural storage for the memo: the group hashtable and a
-    pool of recyclable group records. Passing the same arena to
-    successive {!optimize} calls keeps both at high-water capacity
-    instead of re-growing them per query — steady-state compiles of a
-    stable template population stop churning the allocator. Reuse is
+    The memo's storage, reusable across {!optimize} calls. A memo group
+    is a dense id interned by its relation set in a hashtable, and its
+    state lives in flat int/float columns indexed by that id: set,
+    outstanding-task count (which doubles as its state), the row count,
+    cost and width the join evaluators of {!Rules} read, and the winning
+    alternative (operator tag and left set). Tasks sit on a two-column
+    int stack. [Plan.t] nodes are built once, along the winning tree,
+    after the search ends.
+
+    Between compiles an arena retains those columns, the stack and the
+    hashtable's bucket array, each at the largest size any of its
+    compiles needed, and no references into past plans. A group's
+    logical splits are transient: they exist in one scratch vector only
+    while that group's expansion is being pushed, so the retained size
+    follows the number of groups, not of splits. Reuse is
     observationally transparent: results, stats and environment
     interactions are identical to a fresh memo.
 
-    An arena serves one compilation at a time. Searches can suspend
-    inside [env.alloc] (gateway waits), so concurrent compiles need
-    distinct arenas — {!Dbms} keeps a free pool sized by compile
-    concurrency. *)
+    An arena serves one search at a time. Searches suspend inside
+    [env.alloc] (gateway waits), so concurrent compiles need distinct
+    arenas — {!Dbms} keeps a free pool sized by compile concurrency.
+    An arena is busy from entry to exit of {!optimize} (however it
+    exits); passing a busy arena to {!optimize} or {!reset_arena}
+    raises [Invalid_argument] instead of corrupting the live search. *)
 
 type arena
 
 val create_arena : unit -> arena
 
 (** Clear logical state, keep capacity. {!optimize} resets its arena on
-    entry, so calling this is only needed to drop the references a
-    parked arena still holds into the last query's plans. *)
+    entry; calling this on a parked arena only releases the hashtable
+    entries of its last compile. Raises [Invalid_argument] on a busy
+    arena. *)
 val reset_arena : arena -> unit
 
 (** [optimize ?params ?arena ~env model catalog query]. Errors are the
     governor's abort reasons surfaced by [env.alloc]/[env.cpu]. Without
-    [?arena] a fresh single-use memo is built, as before. *)
+    [?arena] a fresh single-use memo is built. Raises [Invalid_argument]
+    if [arena] is in use by another live search. *)
 val optimize :
   ?params:params ->
   ?arena:arena ->
+  env:Env.t ->
+  Cost.model ->
+  Catalog.t ->
+  Query.t ->
+  (result, Env.abort_reason) Stdlib.result
+
+(** The record-and-list memo {!optimize} replaced (group and split
+    records, a task variant, a [Plan.t] per costed alternative), with a
+    fresh memo per call. Test oracle only: {!optimize} must match it on
+    plan, cost, outcome, stats, error and the exact sequence of
+    environment calls. *)
+val optimize_reference :
+  ?params:params ->
   env:Env.t ->
   Cost.model ->
   Catalog.t ->

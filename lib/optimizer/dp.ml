@@ -21,6 +21,7 @@ let optimize_with_stats model card =
       (Printf.sprintf "Dp.optimize: %d relations exceed the DP limit of %d" n
          max_rels);
   let full = Relset.full n in
+  let adj = Query.adjacency q in
   let tb = Rules.make_tables (full + 1) in
   (* op.(s) is the winning alternative tag for subset [s], or -1 when no
      plan exists (doubles as the presence test the list-based version did
@@ -49,7 +50,7 @@ let optimize_with_stats model card =
      plans and entry counts are unchanged. *)
   for k = 2 to n do
     Relset.iter_of_cardinality ~n ~k (fun s ->
-        if Query.connected q s then begin
+        if Query.connected_mask adj s then begin
           let lowest = Relset.min_elt s in
           Relset.iter_strict_subsets s (fun l ->
               (* Each unordered split once: the left part keeps the lowest
@@ -92,26 +93,12 @@ let optimize_with_stats model card =
      used, so the plan's annotations are bit-identical to the table
      entries. *)
   let rec build s =
-    if Relset.cardinal s = 1 then begin
-      let i = Relset.min_elt s in
-      if op.(s) = 1 then
-        match Plan.index_scan model card i with
-        | Some p -> p
-        | None -> assert false (* tag 1 implies an index exists *)
-      else Plan.seq_scan model card i
-    end
+    if Relset.cardinal s = 1 then
+      Rules.leaf_of_tag model card (Relset.min_elt s) op.(s)
     else begin
       let l = split.(s) in
-      let r = Relset.diff s l in
-      let pl = build l in
-      let pr = build r in
-      let rows = tb.Rules.t_rows.(s) in
-      match op.(s) with
-      | 0 -> Plan.hash_join model ~rows ~build:pl ~probe:pr
-      | 1 -> Plan.hash_join model ~rows ~build:pr ~probe:pl
-      | 2 -> Plan.nl_join model ~rows ~outer:pl ~inner:pr
-      | 3 -> Plan.nl_join model ~rows ~outer:pr ~inner:pl
-      | _ -> Plan.merge_join model ~rows ~left:pl ~right:pr
+      Rules.join_of_tag model ~rows:tb.Rules.t_rows.(s) op.(s) ~l:(build l)
+        ~r:(build (Relset.diff s l))
     end
   in
   (Rules.finalize model card (build full), !entries)

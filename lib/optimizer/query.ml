@@ -60,49 +60,56 @@ let rec pred_between_loop preds a b =
 
 let has_pred_between t a b = pred_between_loop t.preds a b
 
-let connected t s =
+(* Join-graph adjacency as per-relation neighbour masks, so connectivity
+   and neighbourhoods cost a few word operations per member and allocate
+   nothing. Searches build the array once per optimize and call the
+   [_mask] functions directly. *)
+let adjacency t =
+  let adj = Array.make (n_rels t) Relset.empty in
+  List.iter
+    (fun p ->
+      adj.(p.jleft) <- Relset.add p.jright adj.(p.jleft);
+      adj.(p.jright) <- Relset.add p.jleft adj.(p.jright))
+    t.preds;
+  adj
+
+(* Closure from the lowest member, one member at a time. *)
+let connected_mask adj s =
   if Relset.is_empty s then false
   else begin
-    let seed = Relset.singleton (Relset.min_elt s) in
-    let rec grow reached =
-      let next =
-        List.fold_left
-          (fun acc p ->
-            if Relset.mem p.jleft s && Relset.mem p.jright s then
-              if Relset.mem p.jleft acc then Relset.add p.jright acc
-              else if Relset.mem p.jright acc then Relset.add p.jleft acc
-              else acc
-            else acc)
-          reached t.preds
-      in
-      if Relset.equal next reached then reached else grow next
-    in
-    Relset.equal (grow seed) s
+    let reached = ref (s land -s) in
+    let todo = ref !reached in
+    while !todo <> 0 do
+      let low = !todo land - !todo in
+      todo := !todo lxor low;
+      let fresh = Relset.diff (adj.(Relset.ctz low) land s) !reached in
+      reached := !reached lor fresh;
+      todo := !todo lor fresh
+    done;
+    !reached = s
   end
 
-let neighborhood t s ~within =
-  List.fold_left
-    (fun acc p ->
-      let acc =
-        if Relset.mem p.jleft s && Relset.mem p.jright within then
-          Relset.add p.jright acc
-        else acc
-      in
-      if Relset.mem p.jright s && Relset.mem p.jleft within then
-        Relset.add p.jleft acc
-      else acc)
-    Relset.empty t.preds
-  |> fun n -> Relset.diff n s
+let neighborhood_mask adj s ~within =
+  let acc = ref Relset.empty and rest = ref s in
+  while !rest <> 0 do
+    let low = !rest land - !rest in
+    rest := !rest lxor low;
+    acc := !acc lor adj.(Relset.ctz low)
+  done;
+  Relset.diff (!acc land within) s
+
+let connected t s = connected_mask (adjacency t) s
 
 (* EnumerateCsg: emit every connected subset of the subgraph induced by
    [s], each exactly once. Subsets are seeded at each node v and grown
    only through neighbours, never into nodes smaller than v or already
    prohibited, which is what guarantees uniqueness. *)
 let connected_subsets t s =
+  let adj = adjacency t in
   let result = ref [] in
   let rec grow c prohibited =
     result := c :: !result;
-    let frontier = Relset.diff (neighborhood t c ~within:s) prohibited in
+    let frontier = Relset.diff (neighborhood_mask adj c ~within:s) prohibited in
     if not (Relset.is_empty frontier) then begin
       let prohibited' = Relset.union prohibited frontier in
       (* Every nonempty subset of the frontier, including the full one. *)

@@ -74,9 +74,23 @@ val has_pred_between : t -> Relset.t -> Relset.t -> bool
 (** [connected t s] — the subgraph induced by [s] is connected. *)
 val connected : t -> Relset.t -> bool
 
+(** {2 Mask-based join graph}
+
+    [adjacency t] is the join graph as per-relation neighbour masks: bit
+    [j] of [.(i)] is set when a predicate links relations [i] and [j].
+    It is not part of [t]; plan searches build it once per optimize and
+    test connectivity with the functions below, which allocate nothing.
+    {!connected} is [connected_mask] over a fresh adjacency. *)
+
+val adjacency : t -> Relset.t array
+
+(** [connected_mask (adjacency t) s = connected t s]. *)
+val connected_mask : Relset.t array -> Relset.t -> bool
+
 (** Relations adjacent (via join predicates) to members of [s], within
     [within], excluding [s] itself. *)
-val neighborhood : t -> Relset.t -> within:Relset.t -> Relset.t
+val neighborhood_mask :
+  Relset.t array -> Relset.t -> within:Relset.t -> Relset.t
 
 (** [connected_subsets t s] enumerates every nonempty connected subset of
     the subgraph induced by [s] (Moerkotte & Neumann's EnumerateCsg). The

@@ -53,6 +53,15 @@ let make_tables n =
    and selection below uses strict [<] in that order, so ties resolve to
    the same alternative as [cheapest]. *)
 
+let indexed card i =
+  let tbl = Card.table_of card i in
+  List.exists
+    (fun f -> Catalog.has_index_on tbl f.Query.fcol)
+    (Query.filters_of (Card.query card) i)
+
+let leaf_alternative_count card i = if indexed card i then 2 else 1
+let join_alternative_count = 5
+
 let cheapest_leaf_into model card i ~best =
   let tbl = Card.table_of card i in
   let pages = Catalog.pages tbl ~page_size:model.Cost.page_size in
@@ -62,13 +71,7 @@ let cheapest_leaf_into model card i ~best =
   best.(0) <- seq_io;
   best.(1) <- seq_cpu;
   best.(2) <- seq_io +. seq_cpu;
-  let q = Card.query card in
-  let indexed =
-    List.exists
-      (fun f -> Catalog.has_index_on tbl f.Query.fcol)
-      (Query.filters_of q i)
-  in
-  if not indexed then 0
+  if not (indexed card i) then 0
   else begin
     let sel = out_rows /. Float.max 1.0 tbl.Catalog.rows in
     let ipages = Float.max 1.0 ((pages *. sel) +. 3.) in
@@ -208,6 +211,24 @@ let cheapest_join_into model tb ~s ~l ~r ~best =
     else tag
   in
   tag
+
+(* Plan reconstruction from the flat searches' tags: the constructors
+   recompute costs from the same inputs the evaluators above used, so the
+   plan's annotations are bit-identical to the table entries. *)
+let leaf_of_tag model card i tag =
+  if tag = 1 then
+    match Plan.index_scan model card i with
+    | Some p -> p
+    | None -> invalid_arg "Rules.leaf_of_tag: no index scan"
+  else Plan.seq_scan model card i
+
+let join_of_tag model ~rows tag ~l ~r =
+  match tag with
+  | 0 -> Plan.hash_join model ~rows ~build:l ~probe:r
+  | 1 -> Plan.hash_join model ~rows ~build:r ~probe:l
+  | 2 -> Plan.nl_join model ~rows ~outer:l ~inner:r
+  | 3 -> Plan.nl_join model ~rows ~outer:r ~inner:l
+  | _ -> Plan.merge_join model ~rows ~left:l ~right:r
 
 let cheapest = function
   | [] -> invalid_arg "Rules.cheapest: no alternatives"

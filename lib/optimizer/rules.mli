@@ -14,14 +14,21 @@ val leaf_alternatives : Cost.model -> Card.t -> int -> Plan.t list
     from the union set. *)
 val join_alternatives : Cost.model -> Card.t -> Plan.t -> Plan.t -> Plan.t list
 
+(** [List.length (leaf_alternatives model card i)], without building them. *)
+val leaf_alternative_count : Card.t -> int -> int
+
+(** [List.length (join_alternatives model card a b)] for any [a], [b]. *)
+val join_alternative_count : int
+
 (** Cheapest element of a nonempty list of alternatives. *)
 val cheapest : Plan.t list -> Plan.t
 
-(** {1 Cost-only evaluation for the flat DP}
+(** {1 Cost-only evaluation for the flat searches}
 
-    {!Dp}'s cost-search pass never builds [Plan.t] values; it works on
-    flat arrays indexed by {!Relset.t} and identifies the winning
-    physical alternative by an integer tag. The evaluators below mirror
+    {!Dp}'s and {!Cascades}' cost searches never build [Plan.t] values;
+    they work on flat arrays (indexed by {!Relset.t} in the DP, by memo
+    group id in Cascades) and identify the winning physical alternative
+    by an integer tag. The evaluators below mirror
     the [Plan] constructors' cost arithmetic bit for bit (same terms,
     same floating-point evaluation order), so reconstructing only the
     winning tree afterwards yields exactly the plan the list-based
@@ -51,10 +58,12 @@ val cheapest_leaf_into :
 (** [cheapest_join_into model tb ~s ~l ~r ~best] evaluates the five join
     alternatives for subset [s] split into [l] (which must hold the
     lowest relation of [s]) and [r], reading both children's entries and
-    [t_rows.(s)] from [tb]. Writes the winner's cost_io / cost_cpu /
-    total to [best.(0..2)] and returns its tag: 0 = hash build-[l],
-    1 = hash build-[r], 2 = NL outer-[l], 3 = NL outer-[r], 4 = merge —
-    tie-breaking as {!cheapest} over {!join_alternatives}. *)
+    [t_rows.(s)] from [tb]. [s], [l] and [r] are the table indices of the
+    three subsets: the sets themselves in the DP, group ids in Cascades.
+    Writes the winner's cost_io / cost_cpu / total to [best.(0..2)] and
+    returns its tag: 0 = hash build-[l], 1 = hash build-[r],
+    2 = NL outer-[l], 3 = NL outer-[r], 4 = merge — tie-breaking as
+    {!cheapest} over {!join_alternatives}. *)
 val cheapest_join_into :
   Cost.model ->
   tables ->
@@ -63,6 +72,16 @@ val cheapest_join_into :
   r:Relset.t ->
   best:float array ->
   int
+
+(** [leaf_of_tag model card i tag] builds the access path of relation [i]
+    that {!cheapest_leaf_into} returned [tag] for. *)
+val leaf_of_tag : Cost.model -> Card.t -> int -> int -> Plan.t
+
+(** [join_of_tag model ~rows tag ~l ~r] builds the join
+    {!cheapest_join_into} returned [tag] for, over the plans of the [l]
+    and [r] subsets. *)
+val join_of_tag :
+  Cost.model -> rows:float -> int -> l:Plan.t -> r:Plan.t -> Plan.t
 
 (** Wrap the final aggregation (cheaper of hash vs stream aggregate) if the
     query has one. *)

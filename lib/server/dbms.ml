@@ -55,8 +55,8 @@ let acquire_arena t =
   | [] -> Optimizer.Cascades.create_arena ()
 
 let release_arena t a =
-  (* Eager reset so a parked arena does not pin the plans of the query it
-     just compiled. *)
+  (* Eager reset so a parked arena does not keep the memo hashtable
+     entries of the query it just compiled alive. *)
   Optimizer.Cascades.reset_arena a;
   t.arenas <- a :: t.arenas
 

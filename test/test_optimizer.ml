@@ -752,6 +752,183 @@ let prop_arena_reuse_transparent =
       done;
       !ok)
 
+(* Flat memo = reference memo. The recording env logs every environment
+   call in order (the sequence and byte amounts of [alloc]/[cpu] are the
+   paper's metered compile memory, so they must be bit-identical) and
+   injects one fault: [should_stop] from the k-th allocation on, or an
+   abort raised by the k-th [alloc] or [cpu] call. *)
+
+type env_call = Alloc of int | Cpu of float | Stop of bool
+
+type fault =
+  | No_fault
+  | Stop_after of int
+  | Alloc_abort of int * Env.abort_reason
+  | Cpu_abort of int * Env.abort_reason
+
+let recording_env fault =
+  let calls = ref [] and allocs = ref 0 and cpus = ref 0 in
+  let env =
+    {
+      Env.alloc =
+        (fun n ->
+          calls := Alloc n :: !calls;
+          incr allocs;
+          match fault with
+          | Alloc_abort (k, r) when !allocs = k -> raise (Env.Aborted r)
+          | _ -> ());
+      cpu =
+        (fun sec ->
+          calls := Cpu sec :: !calls;
+          incr cpus;
+          match fault with
+          | Cpu_abort (k, r) when !cpus = k -> raise (Env.Aborted r)
+          | _ -> ());
+      should_stop =
+        (fun () ->
+          let stop = match fault with Stop_after k -> !allocs >= k | _ -> false in
+          calls := Stop stop :: !calls;
+          stop);
+    }
+  in
+  (env, calls)
+
+let sales_cat = lazy (Workload.Sales.catalog ())
+let sales_templates = lazy (Array.of_list (Workload.Sales.templates ()))
+
+(* A case: shape (star, chain, SALES), size, salt, params variant
+   (default, small budget, pressure ignored), fault kind and index. *)
+let flat_case (shape, n, salt) (variant, fault_kind, k) =
+  let cat, q =
+    match shape with
+    | 0 | 1 -> random_cat_query ~star:(shape = 0) ~n ~salt
+    | _ ->
+        let templates = Lazy.force sales_templates in
+        ( Lazy.force sales_cat,
+          Workload.Template.instance (Sim.Rng.create salt)
+            templates.(n mod Array.length templates)
+            ~id:salt )
+  in
+  let params =
+    match variant with
+    | 0 -> Cascades.default_params
+    | 1 ->
+        {
+          Cascades.default_params with
+          Cascades.max_tasks = 20 + (salt mod 400);
+          min_tasks = 1;
+          expand_chunk = 1 + (salt mod 5);
+          cpu_batch = 1 + (salt mod 7);
+        }
+    | _ -> { Cascades.default_params with Cascades.honor_stop_early = false }
+  in
+  (* Star and chain compiles make tens to hundreds of calls, SALES
+     thousands: aim the fault inside the search. *)
+  let k = if shape < 2 then 1 + (k mod 150) else k in
+  let fault =
+    match fault_kind with
+    | 0 -> No_fault
+    | 1 -> Stop_after k
+    | 2 -> Alloc_abort (k, Env.Out_of_memory)
+    | 3 -> Alloc_abort (k, Env.Gateway_timeout "medium")
+    | 4 -> Alloc_abort (k, Env.Cancelled)
+    | 5 -> Cpu_abort (1 + (k mod 8), Env.Out_of_memory)
+    | _ -> Cpu_abort (1 + (k mod 8), Env.Cancelled)
+  in
+  (cat, q, params, fault)
+
+let flat_case_arb =
+  QCheck.(
+    pair
+      (triple (int_range 0 2) (int_range 2 12) (int_range 0 1_000_000))
+      (triple (int_range 0 2) (int_range 0 6) (int_range 1 2_000)))
+
+let flat_matches_reference ?arena case =
+  let cat, q, params, fault = flat_case (fst case) (snd case) in
+  let env, calls = recording_env fault in
+  let flat = Cascades.optimize ~params ?arena ~env model cat q in
+  let env, ref_calls = recording_env fault in
+  let reference = Cascades.optimize_reference ~params ~env model cat q in
+  flat = reference && !calls = !ref_calls
+
+let prop_flat_cascades_matches_reference =
+  QCheck.Test.make ~name:"flat cascades = reference memo (fresh memo)"
+    ~count:60 flat_case_arb (fun case -> flat_matches_reference case)
+
+let shared_arena = lazy (Cascades.create_arena ())
+
+let prop_flat_cascades_arena_matches_reference =
+  QCheck.Test.make ~name:"flat cascades = reference memo (one arena)"
+    ~count:60 flat_case_arb (fun case ->
+      flat_matches_reference ~arena:(Lazy.force shared_arena) case)
+
+(* The loop-based cardinality estimate against a fold over members and
+   predicates: same products in the same order, so bit-identical. *)
+let prop_card_matches_fold =
+  QCheck.Test.make ~name:"card estimate = reference fold (bit-identical)"
+    ~count:40
+    QCheck.(pair (int_range 0 1_000_000) (list_of_size Gen.(int_range 1 20) int))
+    (fun (salt, masks) ->
+      let templates = Lazy.force sales_templates in
+      let q =
+        Workload.Template.instance (Sim.Rng.create salt)
+          templates.(salt mod Array.length templates)
+          ~id:salt
+      in
+      let cat = Lazy.force sales_cat in
+      let card = Card.create cat q in
+      let full = Relset.full (Query.n_rels q) in
+      List.for_all
+        (fun m ->
+          let s = (abs m land full) lor 1 in
+          let rows = Relset.fold (fun i acc -> acc *. Card.base_rows card i) s 1.0 in
+          let sel =
+            List.fold_left
+              (fun acc (p : Query.join_pred) ->
+                if Relset.mem p.Query.jleft s && Relset.mem p.Query.jright s then
+                  acc *. p.Query.jsel
+                else acc)
+              1.0 q.Query.preds
+          in
+          let width =
+            Relset.fold
+              (fun i acc -> acc + Catalog.row_width (Card.table_of card i))
+              s 0
+          in
+          Int64.equal
+            (Int64.bits_of_float (Card.card card s))
+            (Int64.bits_of_float (Float.max 1.0 (rows *. sel)))
+          && Card.width card s = width)
+        masks)
+
+(* Searches suspend inside [env.alloc], so a caller could hand one arena
+   to a second search while the first is live. That must fail loudly. *)
+let test_cascades_busy_arena_rejected () =
+  let cat = star_catalog ~dims:3 ~fact_rows:100_000 ~dim_rows:1_000 in
+  let q = star_query ~dims:3 cat in
+  let arena = Cascades.create_arena () in
+  (* Run [f] at the first allocation of a live search on [arena]. *)
+  let from_inside f =
+    let seen = ref None in
+    let alloc _ =
+      if !seen = None then
+        seen :=
+          Some (match f () with () -> "ran" | exception Invalid_argument _ -> "rejected")
+    in
+    let r = Cascades.optimize ~arena ~env:{ Env.null with Env.alloc } model cat q in
+    (!seen, r)
+  in
+  let nested, outer =
+    from_inside (fun () ->
+        ignore (Cascades.optimize ~arena ~env:Env.null model cat q))
+  in
+  Alcotest.(check (option string)) "re-entry rejected" (Some "rejected") nested;
+  let reset, _ = from_inside (fun () -> Cascades.reset_arena arena) in
+  Alcotest.(check (option string)) "reset of a busy arena rejected" (Some "rejected") reset;
+  (* The arena is free again once the search returns. *)
+  Alcotest.(check bool) "arena released" true
+    (Cascades.optimize ~arena ~env:Env.null model cat q = outer)
+
 let suite =
   [
     ("relset basics", `Quick, test_relset_basics);
@@ -775,6 +952,7 @@ let suite =
     ("cascades stop early", `Quick, test_cascades_stop_early);
     ("cascades abort propagates", `Quick, test_cascades_abort_propagates);
     ("cascades dynamic budget", `Quick, test_cascades_dynamic_budget);
+    ("cascades busy arena rejected", `Quick, test_cascades_busy_arena_rejected);
     ("plans validated on star", `Quick, test_plans_validated_star);
     ("plans validated on chain", `Quick, test_plans_validated_chain);
     ("query to_sql", `Quick, test_query_to_sql);
@@ -789,4 +967,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_random_star_plans_validate;
     QCheck_alcotest.to_alcotest prop_flat_dp_matches_reference;
     QCheck_alcotest.to_alcotest prop_arena_reuse_transparent;
+    QCheck_alcotest.to_alcotest prop_flat_cascades_matches_reference;
+    QCheck_alcotest.to_alcotest prop_flat_cascades_arena_matches_reference;
+    QCheck_alcotest.to_alcotest prop_card_matches_fold;
   ]
