@@ -392,19 +392,6 @@ let grid_bench () =
 (* ------------------------------------------------------------------ *)
 (* JSON output (hand-rolled: no JSON dependency in the image) *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json ~benches ~grid path =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
@@ -418,7 +405,7 @@ let write_json ~benches ~grid path =
       p
         "    {\"name\": \"%s\", \"iters\": %d, \"wall_s\": %.6f, \
          \"per_op_ns\": %.1f, \"alloc_bytes_per_op\": %.1f}%s\n"
-        (json_escape b.name) b.iters b.wall_s b.per_op_ns b.alloc_bytes_per_op
+        (Obs.Export.json_escape b.name) b.iters b.wall_s b.per_op_ns b.alloc_bytes_per_op
         (if i = List.length benches - 1 then "" else ","))
     benches;
   p "  ],\n";

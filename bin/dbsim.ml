@@ -17,6 +17,12 @@ let cli_error msg =
   prerr_endline (error_line msg);
   exit Cmd.Exit.cli_error
 
+(* A library check's [Invalid_argument] is bad input, reported through
+   [cli_error]. *)
+let checked f x = try f x with Invalid_argument msg -> cli_error msg
+
+let check_clients = checked Server.Experiment.check_clients
+
 (* [conv] restricted to values [ok] accepts: an out-of-range value is a
    parse error, just like a malformed one. *)
 let restricted ~ok ~expected conv =
@@ -199,6 +205,7 @@ let run_verbose ~clients ~throttle ~warmup ~measure ~seed =
 let verbose_cmd =
   (* --slice is accepted for symmetry with run; verbose prints no slices. *)
   let action clients throttle warmup measure _slice seed =
+    check_clients clients;
     run_verbose ~clients ~throttle ~warmup ~measure ~seed
   in
   Cmd.v (Cmd.info "verbose" ~doc:"Single run with resource diagnostics.")
@@ -208,6 +215,7 @@ let verbose_cmd =
 
 let run_cmd =
   let action clients throttle warmup measure slice seed csv =
+    check_clients clients;
     let r = run_one ~clients ~throttle ~warmup ~measure ~slice ~seed in
     Format.printf "%a@." Server.Experiment.pp_summary r;
     List.iter
@@ -237,6 +245,7 @@ let run_cmd =
 
 let compare_cmd =
   let action clients warmup measure slice seed csv jobs =
+    check_clients clients;
     let run throttle = run_one ~clients ~throttle ~warmup ~measure ~slice ~seed in
     let on, off =
       match Parallel.Pool.run ~jobs run [ true; false ] with
@@ -271,6 +280,7 @@ let sweep_cmd =
       & info [ "list" ] ~doc:"Client counts to sweep.")
   in
   let action counts throttle warmup measure slice seed jobs =
+    List.iter check_clients counts;
     let rows =
       List.map Server.Report.result_row
         (Parallel.Pool.run ~jobs
@@ -344,6 +354,9 @@ let chaos_cmd =
   let action clients warmup measure slice seed ballast_gib ballast_at
       ballast_hold ballast_steps ballast_step_s storm burst glitch think
       workload jobs =
+    check_clients clients;
+    if burst < 0 then cli_error "chaos: burst < 0";
+    if think < 0. then cli_error "chaos: think < 0";
     let catalog, templates =
       match workload with
       | `Sales -> (Workload.Sales.catalog (), Workload.Sales.templates ())
@@ -372,6 +385,7 @@ let chaos_cmd =
             { at; duration = window; fail_prob = glitch; clerks = [ "compile" ] } ]
       else []
     in
+    List.iter (checked Faultsim.Fault.validate) faults;
     let run resilient =
       let base =
         if resilient then Server.Config.resilient () else Server.Config.default ()
@@ -442,6 +456,7 @@ let trace_cmd =
         if r.Server.Figure2.failures > 0 then
           Printf.printf "!! %d process failures\n" r.Server.Figure2.failures
     | `Server ->
+        check_clients clients;
         let cfg = { (Server.Config.default ()) with Server.Config.seed } in
         ignore
           (Server.Experiment.run ~config:cfg ~trace ~clients ~warmup:0.
@@ -596,8 +611,7 @@ let fan_out fan ~arms ?(validate = ignore)
   let picked =
     match traced with Some (_, pick) -> List.map pick fan.seeds | None -> []
   in
-  (try List.iter validate (List.map snd cells @ picked)
-   with Invalid_argument msg -> cli_error msg);
+  List.iter (checked validate) (List.map snd cells @ picked);
   let outcomes =
     Parallel.Pool.run ~jobs:fan.jobs (fun (seed, c) -> (seed, run c)) cells
   in
@@ -650,11 +664,7 @@ let health_cmd =
   let action clients warmup measure drain resilience glitch fan =
     let config =
       if resilience then Server.Config.supervised ()
-      else
-        {
-          (Server.Config.default ()) with
-          Server.Config.supervision = Health.Supervise.default;
-        }
+      else { (Server.Config.default ()) with Server.Config.supervision = true }
     in
     let faults = Server.Scenario.chaos_faults ~glitch () in
     let run ?trace seed =
@@ -678,7 +688,11 @@ let health_cmd =
           Format.fprintf (Format.formatter_of_out_channel oc) "%a@."
             Health.Report.pp o.report)
     in
-    let outcomes = fan_out fan ~arms:(fun seed -> [ seed ]) ~run ~print ~report () in
+    let outcomes =
+      fan_out fan ~arms:(fun seed -> [ seed ])
+        ~validate:(fun _ -> Server.Experiment.check_clients clients)
+        ~run ~print ~report ()
+    in
     let stuck =
       List.fold_left
         (fun acc o -> acc + Health.Report.stuck o.Server.Scenario.report)

@@ -5,15 +5,6 @@ let pressure_name = function
   | Elevated -> "elevated"
   | Critical -> "critical"
 
-type defense = {
-  adaptive_lifo : bool;  (* flip FIFO->LIFO under sustained standing *)
-  lifo_after_s : float;  (* standing time before the flip *)
-  deadline_shed : bool;  (* shed waiters whose deadline cannot be met *)
-}
-
-let no_defense =
-  { adaptive_lifo = false; lifo_after_s = 10.0; deadline_shed = false }
-
 type t = {
   geng : Sim.Engine.t;
   gtrace : Obs.Trace.t;
@@ -26,7 +17,9 @@ type t = {
   mutable press : pressure;
   mutable active : int;
   genabled : bool;
-  mutable defense : defense;
+  mutable lifo_after_s : float option;
+      (* Some s: storm defenses on (adaptive queues flipping after s of
+         standing, deadline shed) *)
   standing_since : float array; (* per monitor; nan = queue not standing *)
   mutable lifo_shifts : int;
   mutable deadline_sheds : int;
@@ -66,15 +59,14 @@ let create eng _manager ?(trace = Obs.Trace.null) ~clerk ~cpus ~config
     press = Calm;
     active = 0;
     genabled = enabled;
-    defense = no_defense;
+    lifo_after_s = None;
     standing_since = Array.make (Array.length levels) Float.nan;
     lifo_shifts = 0;
     deadline_sheds = 0;
   }
 
 let enabled t = t.genabled
-let set_defense t d = t.defense <- d
-let defense t = t.defense
+let set_defense t ~lifo_after_s = t.lifo_after_s <- Some lifo_after_s
 let lifo_shifts t = t.lifo_shifts
 let deadline_sheds t = t.deadline_sheds
 
@@ -130,31 +122,31 @@ let promote s =
    it first turns a post-storm backlog into completed work instead of a
    parade of timeouts. The queue draining flips it straight back. *)
 let adapt_queue t i =
-  let d = t.defense in
-  if d.adaptive_lifo then begin
-    let m = t.gmonitors.(i) in
-    let now = Sim.Engine.now t.geng in
-    if Monitor.queued m > 0 then begin
-      if Float.is_nan t.standing_since.(i) then t.standing_since.(i) <- now
-      else if
-        now -. t.standing_since.(i) >= d.lifo_after_s
-        && Monitor.discipline m = Sim.Resource.Fifo
-      then begin
-        Monitor.set_discipline m Sim.Resource.Lifo;
-        t.lifo_shifts <- t.lifo_shifts + 1;
-        emit t ~qid:"gov"
-          (Obs.Event.Queue_shift { gate = Monitor.name m; lifo = true })
+  match t.lifo_after_s with
+  | None -> ()
+  | Some lifo_after_s ->
+      let m = t.gmonitors.(i) in
+      let now = Sim.Engine.now t.geng in
+      if Monitor.queued m > 0 then begin
+        if Float.is_nan t.standing_since.(i) then t.standing_since.(i) <- now
+        else if
+          now -. t.standing_since.(i) >= lifo_after_s
+          && Monitor.discipline m = Sim.Resource.Fifo
+        then begin
+          Monitor.set_discipline m Sim.Resource.Lifo;
+          t.lifo_shifts <- t.lifo_shifts + 1;
+          emit t ~qid:"gov"
+            (Obs.Event.Queue_shift { gate = Monitor.name m; lifo = true })
+        end
       end
-    end
-    else begin
-      t.standing_since.(i) <- Float.nan;
-      if Monitor.discipline m = Sim.Resource.Lifo then begin
-        Monitor.set_discipline m Sim.Resource.Fifo;
-        emit t ~qid:"gov"
-          (Obs.Event.Queue_shift { gate = Monitor.name m; lifo = false })
+      else begin
+        t.standing_since.(i) <- Float.nan;
+        if Monitor.discipline m = Sim.Resource.Lifo then begin
+          Monitor.set_discipline m Sim.Resource.Fifo;
+          emit t ~qid:"gov"
+            (Obs.Event.Queue_shift { gate = Monitor.name m; lifo = false })
+        end
       end
-    end
-  end
 
 let shed_error t i =
   Error
@@ -166,7 +158,7 @@ let shed_error t i =
    Waiters are served by progress: among compilations blocked at the same
    monitor, the one that has already allocated the most memory goes first
    ("gives preference to compilations that have made the most progress",
-   §4.1), with FIFO among equals. With [deadline_shed] on, a session whose
+   §4.1), with FIFO among equals. With the defenses on, a session whose
    remaining deadline cannot cover the monitor's observed mean wait is
    refused {e before} enqueueing (it would only stand in line, time out,
    and meanwhile hold every earlier gateway), and one that does queue has
@@ -180,7 +172,7 @@ let rec pass_gates s new_usage =
     adapt_queue t i;
     let m = t.gmonitors.(i) in
     let remaining = s.sdeadline -. Sim.Engine.now t.geng in
-    let shed = t.defense.deadline_shed && remaining < Float.infinity in
+    let shed = t.lifo_after_s <> None && remaining < Float.infinity in
     if shed && remaining <= 0. then begin
       t.deadline_sheds <- t.deadline_sheds + 1;
       shed_error t i

@@ -1,26 +1,28 @@
+(* Metered compile memory: bytes per memo group, per logical split
+   recorded and per physical alternative costed. *)
+let group_bytes = 72 * 1024
+let lexpr_bytes = 18 * 1024
+let phys_bytes = 18 * 1024
+
+(* Dynamic optimization: the task budget is the seed plan's cost times
+   this. *)
+let tasks_per_cost = 1.2e-2
+
 type params = {
-  group_bytes : int;
-  lexpr_bytes : int;
-  phys_bytes : int;
   task_cpu : float;
   cpu_batch : int;
   max_tasks : int;
   min_tasks : int;
-  tasks_per_cost : float;
   expand_chunk : int;
   honor_stop_early : bool;
 }
 
 let default_params =
   {
-    group_bytes = 72 * 1024;
-    lexpr_bytes = 18 * 1024;
-    phys_bytes = 18 * 1024;
     task_cpu = 2.0e-3;
     cpu_batch = 64;
     max_tasks = 45_000;
     min_tasks = 500;
-    tasks_per_cost = 1.2e-2;
     expand_chunk = 16;
     honor_stop_early = true;
   }
@@ -214,7 +216,7 @@ let find_or_create s set =
          relation [Card.card] is exactly its filtered base rows.) *)
       a.tb.Rules.t_rows.(g) <- Card.card s.card set;
       a.tb.Rules.t_width.(g) <- Card.width s.card set;
-      alloc s s.params.group_bytes;
+      alloc s group_bytes;
       g
 
 (* Offer the alternative the evaluator left in [a.best]. Strictly cheaper
@@ -287,7 +289,7 @@ let process_opt_group s set =
     if Relset.cardinal set = 1 then begin
       let i = Relset.min_elt set in
       let n = Rules.leaf_alternative_count s.card i in
-      alloc s (s.params.phys_bytes * n);
+      alloc s (phys_bytes * n);
       s.phys <- s.phys + n;
       let tag = Rules.cheapest_leaf_into s.model s.card i ~best:a.best in
       offer a g tag ~left:set;
@@ -297,7 +299,7 @@ let process_opt_group s set =
       a.g_out.(g) <- 1;
       enumerate_splits s g set;
       s.lexprs <- s.lexprs + a.n_splits;
-      alloc s (s.params.lexpr_bytes * a.n_splits);
+      alloc s (lexpr_bytes * a.n_splits);
       push a expand g 0
     end
 
@@ -336,7 +338,7 @@ let process_opt_split s g left =
   let tag =
     Rules.cheapest_join_into s.model a.tb ~s:g ~l:gl ~r:gr ~best:a.best
   in
-  alloc s (s.params.phys_bytes * Rules.join_alternative_count);
+  alloc s (phys_bytes * Rules.join_alternative_count);
   s.phys <- s.phys + Rules.join_alternative_count;
   offer a g tag ~left;
   a.g_out.(g) <- a.g_out.(g) - 1
@@ -396,7 +398,7 @@ let task_budget params seed =
   (* Budget scales with estimated query cost (dynamic optimization). *)
   min params.max_tasks
     (max params.min_tasks
-       (int_of_float (Plan.total_cost seed *. params.tasks_per_cost)))
+       (int_of_float (Plan.total_cost seed *. tasks_per_cost)))
 
 let search ~params ~env model cat q a =
   let card = Card.create cat q in
@@ -430,7 +432,7 @@ let search ~params ~env model cat q a =
     a.tb.Rules.t_io.(root) <- seed_join.Plan.cost_io;
     a.tb.Rules.t_cpu.(root) <- seed_join.Plan.cost_cpu;
     a.g_tag.(root) <- seed_plan;
-    alloc s (params.phys_bytes * Plan.n_operators seed_join);
+    alloc s (phys_bytes * Plan.n_operators seed_join);
     push a opt_group 0 full;
     let outcome =
       try loop s budget with
@@ -558,7 +560,7 @@ module Reference = struct
         in
         Hashtbl.replace s.groups set g;
         s.n_groups <- s.n_groups + 1;
-        alloc s s.params.group_bytes;
+        alloc s group_bytes;
         (* Cardinality estimation for a new group is part of its footprint. *)
         ignore (Card.card s.card set);
         g
@@ -589,7 +591,7 @@ module Reference = struct
         if Relset.cardinal set = 1 then begin
           let i = Relset.min_elt set in
           let alternatives = Rules.leaf_alternatives s.model s.card i in
-          alloc s (s.params.phys_bytes * List.length alternatives);
+          alloc s (phys_bytes * List.length alternatives);
           s.n_phys <- s.n_phys + List.length alternatives;
           List.iter (update_best g) alternatives;
           g.state <- Done;
@@ -614,7 +616,7 @@ module Reference = struct
           in
           g.splits <- Array.of_list splits;
           s.n_lexprs <- s.n_lexprs + Array.length g.splits;
-          alloc s (s.params.lexpr_bytes * Array.length g.splits);
+          alloc s (lexpr_bytes * Array.length g.splits);
           push s (Expand (g, 0))
         end
 
@@ -657,7 +659,7 @@ module Reference = struct
       match (gl.best, gr.best) with
       | Some pl, Some pr ->
           let alternatives = Rules.join_alternatives s.model s.card pl pr in
-          alloc s (s.params.phys_bytes * List.length alternatives);
+          alloc s (phys_bytes * List.length alternatives);
           s.n_phys <- s.n_phys + List.length alternatives;
           List.iter (update_best g) alternatives;
           group_task_done s g
@@ -707,7 +709,7 @@ module Reference = struct
       let budget =
         min params.max_tasks
           (max params.min_tasks
-             (int_of_float (seed_join_cost *. params.tasks_per_cost)))
+             (int_of_float (seed_join_cost *. tasks_per_cost)))
       in
       (* Keep the un-aggregated seed in the memo for joining purposes. *)
       let seed_join =
@@ -719,7 +721,7 @@ module Reference = struct
         | _ -> seed
       in
       update_best root seed_join;
-      alloc s (params.phys_bytes * Plan.n_operators seed_join);
+      alloc s (phys_bytes * Plan.n_operators seed_join);
       push s (Opt_group full);
       let stopped = ref None in
       let rec loop () =

@@ -17,21 +17,21 @@
       ([should_stop]) the search returns it instead of failing.
 
     Search effort follows the paper's "dynamic optimization": the task
-    budget scales with the estimated cost of the seed plan, so expensive
+    budget scales with the estimated cost of the seed plan (0.012 tasks
+    per unit of cost, clamped to [[min_tasks, max_tasks]]), so expensive
     queries get (and allocate) more. A completed search explores every
     connected split of every connected subset — the same space as {!Dp} —
     hence equal optimal cost. *)
 
+(** Metered compile memory per physical alternative costed (18 KiB).
+    Each memo group meters 72 KiB and each logical split 18 KiB. *)
+val phys_bytes : int
+
 type params = {
-  group_bytes : int;  (** metered bytes per memo group *)
-  lexpr_bytes : int;  (** per logical split recorded *)
-  phys_bytes : int;  (** per physical alternative costed *)
   task_cpu : float;  (** simulated CPU seconds per task *)
   cpu_batch : int;  (** report CPU to the env every N tasks *)
   max_tasks : int;  (** hard ceiling on search effort *)
   min_tasks : int;  (** floor, so trivial queries still finish *)
-  tasks_per_cost : float;
-      (** dynamic optimization: budget = seed plan cost * this *)
   expand_chunk : int;  (** splits examined per expand task *)
   honor_stop_early : bool;
       (** obey [should_stop] (the paper's best-plan extension); when

@@ -61,14 +61,14 @@ let has_index_on tbl col =
     (fun i -> match i.idx_columns with c :: _ -> c = col | [] -> false)
     tbl.indexes
 
-let int_column ?(width = 8) name ~distinct =
+let int_column name ~distinct =
   {
     col_name = name;
     col_ty = Relation.Value.Tint;
     distinct;
     min_value = 0;
     max_value = max 0 (int_of_float distinct - 1);
-    avg_width = width;
+    avg_width = 8;
     histogram = None;
   }
 

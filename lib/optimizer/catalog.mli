@@ -55,9 +55,9 @@ val data_bytes : t -> int
 (** [has_index_on tbl col] — any index whose leading column is [col]. *)
 val has_index_on : table -> string -> bool
 
-(** Convenience builder for an int column with a dense key range
+(** Convenience builder for an 8-byte int column with a dense key range
     [0 .. distinct-1]. *)
-val int_column : ?width:int -> string -> distinct:float -> column
+val int_column : string -> distinct:float -> column
 
 (** [with_histogram col values] attaches an equi-depth histogram built from
     the sampled [values] and refreshes the column's distinct count and

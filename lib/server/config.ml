@@ -3,64 +3,52 @@
    byte-for-byte; [defended] is the full stack the storm experiment
    switches on. *)
 type defense = {
-  d_singleflight : bool;  (* coalesce concurrent same-statement compiles *)
+  d_enabled : bool;
+      (* singleflight, adaptive gateway queues, deadline shed and the
+         miss-storm detector *)
   d_sf_wait_s : float;  (* follower wait bound before compiling solo *)
   d_budget : Resilience.Budget.config option;  (* retry token bucket *)
-  d_adaptive_queues : bool;  (* FIFO->LIFO under sustained standing *)
   d_lifo_after_s : float;
-  d_deadline_shed : bool;  (* shed gateway waiters past their deadline *)
-  d_storm : Health.Storm.config;  (* miss-storm detector *)
   d_warm_prime : int;  (* hottest templates primed on shard rejoin; 0 = off *)
 }
 
 let no_defense =
   {
-    d_singleflight = false;
+    d_enabled = false;
     d_sf_wait_s = 120.;
     d_budget = None;
-    d_adaptive_queues = false;
     d_lifo_after_s = 20.;
-    d_deadline_shed = false;
-    d_storm = Health.Storm.disabled;
     d_warm_prime = 0;
   }
 
 let defended =
   {
-    d_singleflight = true;
+    d_enabled = true;
     d_sf_wait_s = 120.;
     d_budget = Some Resilience.Budget.default_config;
-    d_adaptive_queues = true;
     d_lifo_after_s = 20.;
-    d_deadline_shed = true;
-    d_storm = Health.Storm.default_config;
     d_warm_prime = 4;
   }
+
+(* The buffer-pool granule. *)
+let page_bytes = Dbmem.Units.mib 4
 
 type t = {
   cpus : int;
   memory_bytes : int;
-  page_bytes : int;
   disk_spindles : int;
-  disk_seek_s : float;
   disk_throughput : float;
   pool_policy : Bufpool.Policy.kind;
   throttle : Qcore.Throttle_config.t;
   throttle_enabled : bool;
-  broker : Qcore.Broker.config;
   optimizer_params : Optimizer.Cascades.params;
   cost_model : Optimizer.Cost.model;
-  exec_config : Execsim.Runner.config;
-  workspace_frac : float;
-  grant_max_query_frac : float;
-  grant_timeout : float;
   min_pool_bytes : int;
   min_workspace_bytes : int;
   plan_cache_floor_bytes : int;
-  metrics_interval : float;
   seed : int;
   resilience : Resilience.t;
-  supervision : Health.Supervise.config;
+  supervision : bool;
   defense : defense;
   faults : Faultsim.Fault.spec list;
 }
@@ -69,21 +57,14 @@ let default () =
   {
     cpus = 8;
     memory_bytes = Dbmem.Units.gib 4;
-    page_bytes = Dbmem.Units.mib 4;
     disk_spindles = 8;
-    disk_seek_s = 0.008;
     (* 8 spindles x 40 MB/s ~ a 2-channel Ultra3 SCSI RAID-0 of the era. *)
     disk_throughput = 40. *. 1024. *. 1024.;
     pool_policy = Bufpool.Policy.Lru2;
     throttle = Qcore.Throttle_config.default ();
     throttle_enabled = true;
-    broker = Qcore.Broker.default_config;
     optimizer_params = Optimizer.Cascades.default_params;
     cost_model = Optimizer.Cost.default;
-    exec_config = Execsim.Runner.default_config;
-    workspace_frac = 0.45;
-    grant_max_query_frac = 0.08;
-    grant_timeout = 600.;
     min_pool_bytes = Dbmem.Units.mib 256;
     min_workspace_bytes = Dbmem.Units.mib 256;
     (* 0 = unprotected: the plan cache donates everything under manager
@@ -92,10 +73,9 @@ let default () =
        buffer-pool pressure — per the paper, a cached plan is the most
        valuable byte in the server (compile cost saved per byte). *)
     plan_cache_floor_bytes = 0;
-    metrics_interval = 5.0;
     seed = 42;
     resilience = Resilience.disabled;
-    supervision = Health.Supervise.disabled;
+    supervision = false;
     defense = no_defense;
     faults = [];
   }
@@ -124,8 +104,7 @@ let check_window ~who ~warmup ~measure ~slice =
 
 let resilient () = { (default ()) with resilience = Resilience.default }
 
-let supervised () =
-  { (resilient ()) with supervision = Health.Supervise.default }
+let supervised () = { (resilient ()) with supervision = true }
 
 let unthrottled () =
   let base = default () in
@@ -141,28 +120,24 @@ let unthrottled () =
 
 let pp ppf t =
   Format.fprintf ppf
-    "@[<v>server: %d cpus, %a memory, %d spindles @ %.0f MB/s, pool granule %a@,throttle %s (%s)@,%a@,%a@]"
+    "@[<v>server: %d cpus, %a memory, %d spindles @@ %.0f MB/s, pool granule %a@,throttle %s (%s)@,%a@,%a@]"
     t.cpus Dbmem.Units.pp_bytes t.memory_bytes t.disk_spindles
     (t.disk_throughput /. (1024. *. 1024.))
-    Dbmem.Units.pp_bytes t.page_bytes
+    Dbmem.Units.pp_bytes page_bytes
     (if t.throttle_enabled then "ON" else "OFF")
     (if t.throttle.Qcore.Throttle_config.dynamic then "dynamic thresholds"
      else "static thresholds")
     Qcore.Throttle_config.pp t.throttle Resilience.pp t.resilience;
-  if t.supervision.Health.Supervise.enabled then
+  if t.supervision then
     Format.fprintf ppf "@,supervision ON: watchdog + starvation auditor + breakers";
-  if
-    t.defense.d_singleflight || t.defense.d_budget <> None
-    || t.defense.d_adaptive_queues || t.defense.d_deadline_shed
-    || t.defense.d_storm.Health.Storm.enabled
-  then
+  if t.defense.d_enabled || t.defense.d_budget <> None then
     Format.fprintf ppf
       "@,storm defense ON: singleflight=%b budget=%b adaptive-queues=%b \
        deadline-shed=%b detector=%b warm-prime=%d"
-      t.defense.d_singleflight
+      t.defense.d_enabled
       (t.defense.d_budget <> None)
-      t.defense.d_adaptive_queues t.defense.d_deadline_shed
-      t.defense.d_storm.Health.Storm.enabled t.defense.d_warm_prime;
+      t.defense.d_enabled t.defense.d_enabled t.defense.d_enabled
+      t.defense.d_warm_prime;
   match t.faults with
   | [] -> ()
   | faults ->

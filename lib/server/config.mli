@@ -5,20 +5,19 @@
     in {!no_defense}, the default, so pre-existing configurations replay
     their seed byte-for-byte. *)
 type defense = {
-  d_singleflight : bool;
-      (** coalesce concurrent compiles of one canonical statement onto a
-          single in-flight optimization ({!Plancache.Singleflight}) *)
+  d_enabled : bool;
+      (** the switch for the whole stack: coalesce concurrent compiles of
+          one canonical statement onto a single in-flight optimization
+          ({!Plancache.Singleflight}), flip gateway queues FIFO->LIFO under
+          sustained standing, shed gateway waiters whose remaining deadline
+          cannot be met, and run the compile-miss storm detector
+          ({!Health.Storm.default_config}) *)
   d_sf_wait_s : float;
       (** how long a coalesced follower waits for the leader before
           giving up and compiling solo *)
   d_budget : Resilience.Budget.config option;
       (** per-client retry token bucket; [None] = unconditional retries *)
-  d_adaptive_queues : bool;
-      (** gateway FIFO->LIFO flip under sustained queue standing *)
   d_lifo_after_s : float;  (** standing time before the flip *)
-  d_deadline_shed : bool;
-      (** shed gateway waiters whose remaining deadline cannot be met *)
-  d_storm : Health.Storm.config;  (** compile-miss storm detector *)
   d_warm_prime : int;
       (** number of hottest templates warm-primed into a rejoining
           shard's plan cache; [0] disables priming *)
@@ -30,35 +29,31 @@ val no_defense : defense
     defenses-on arm). *)
 val defended : defense
 
+(** The buffer-pool granule, 4 MiB. *)
+val page_bytes : int
+
 type t = {
   cpus : int;
   memory_bytes : int;
-  page_bytes : int;  (** buffer-pool granule *)
   disk_spindles : int;
-  disk_seek_s : float;
   disk_throughput : float;  (** bytes/second per spindle *)
   pool_policy : Bufpool.Policy.kind;
   throttle : Qcore.Throttle_config.t;
   throttle_enabled : bool;
-  broker : Qcore.Broker.config;
   optimizer_params : Optimizer.Cascades.params;
   cost_model : Optimizer.Cost.model;
-  exec_config : Execsim.Runner.config;
-  workspace_frac : float;  (** fraction of memory for execution grants *)
-  grant_max_query_frac : float;
-  grant_timeout : float;
   min_pool_bytes : int;  (** broker floor for the buffer pool *)
   min_workspace_bytes : int;  (** broker floor / clamp for grants *)
   plan_cache_floor_bytes : int;
       (** bytes of plan cache shielded from donor reclaim and broker
           shrink verdicts; 0 (the default) leaves the cache fully
           donatable, the pre-sharding behaviour *)
-  metrics_interval : float;  (** memory sampling period *)
   seed : int;
   resilience : Resilience.t;  (** retry/degrade/shed/deadline policy *)
-  supervision : Health.Supervise.config;
-      (** watchdog / starvation auditor / circuit breakers / broker
-          insistence; {!Health.Supervise.disabled} by default *)
+  supervision : bool;
+      (** watchdog, starvation auditor and circuit breakers, each at its
+          module's [default_config], plus broker insistence after 5
+          ignored shrink verdicts; [false] by default *)
   defense : defense;  (** storm defenses; {!no_defense} by default *)
   faults : Faultsim.Fault.spec list;
       (** chaos schedule injected by {!Experiment.run} / [dbsim chaos];
@@ -87,8 +82,7 @@ val check_window :
 (** [default] with the full resilience policy switched on. *)
 val resilient : unit -> t
 
-(** [resilient] plus the supervision layer
-    ({!Health.Supervise.default}). *)
+(** [resilient] plus the supervision layer. *)
 val supervised : unit -> t
 
 (** [default] with throttling disabled (the paper's baseline lines). *)

@@ -1,5 +1,22 @@
+(* Machine constants of the simulated server, the same in every
+   configuration. *)
+let disk_seek_s = 0.008
+
+(* Fraction of memory the execution-grant semaphore manages. *)
+let workspace_frac = 0.45
+
+let grant_max_query_frac = 0.08
+let grant_timeout = 600.
+
+(* Memory sampling period of the metrics watcher, seconds. *)
+let metrics_interval = 5.0
+
+(* Broker insistence under supervision: a component that ignores this
+   many consecutive shrink verdicts is shrunk by force. *)
+let supervised_insist_after = 5
+
 (* The supervision trio, created only when [Config.supervision] is
-   enabled. None of its mechanisms consume randomness, so a supervised
+   on. None of its mechanisms consume randomness, so a supervised
    run that never intervenes is event-for-event identical to the
    unsupervised one. *)
 type supervisor = {
@@ -77,21 +94,20 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
   let exec_clerk = Dbmem.Manager.create_clerk manager "execution" in
   let disk =
     Bufpool.Disk.create eng ~spindles:cfg.Config.disk_spindles
-      ~seek_s:cfg.Config.disk_seek_s
+      ~seek_s:disk_seek_s
       ~throughput_bytes_per_s:cfg.Config.disk_throughput
   in
   let pool =
     Bufpool.Pool.create eng manager ~clerk:pool_clerk ~disk
-      ~page_bytes:cfg.Config.page_bytes ~policy:cfg.Config.pool_policy
+      ~page_bytes:Config.page_bytes ~policy:cfg.Config.pool_policy
   in
   let cache = Plancache.Cache.create manager ~clerk:cache_clerk in
   let workspace =
-    int_of_float (cfg.Config.workspace_frac *. float_of_int cfg.Config.memory_bytes)
+    int_of_float (workspace_frac *. float_of_int cfg.Config.memory_bytes)
   in
   let grants =
     Execsim.Grant.create eng manager ~trace ~clerk:exec_clerk ~total:workspace
-      ~max_query_frac:cfg.Config.grant_max_query_frac
-      ~timeout:cfg.Config.grant_timeout ()
+      ~max_query_frac:grant_max_query_frac ~timeout:grant_timeout ()
   in
   let cpu = Execsim.Cpu.create eng ~cores:cfg.Config.cpus () in
   let gov =
@@ -111,19 +127,15 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
   Dbmem.Manager.register_donor manager ~clerk:pool_clerk ~priority:1
     ~shrink:(fun n -> Bufpool.Pool.shrink pool n);
   (* Broker components and their reactions to verdicts. With supervision
-     on, the broker also gets the insistence knob (unless the caller set
-     one explicitly) and per-component reclaim hooks, so a component that
-     ignores [insist_after] consecutive shrink verdicts is shrunk by
-     force — the paper's "broker insists". *)
+     on, the broker also insists: a component with a reclaim hook that
+     ignores [supervised_insist_after] consecutive shrink verdicts is
+     shrunk by force — the paper's "broker insists". *)
   let sup = cfg.Config.supervision in
-  let broker_cfg =
-    if sup.Health.Supervise.enabled && cfg.Config.broker.Qcore.Broker.insist_after = 0
-    then
-      { cfg.Config.broker with
-        Qcore.Broker.insist_after = sup.Health.Supervise.insist_after }
-    else cfg.Config.broker
+  let broker =
+    Qcore.Broker.create ~trace
+      ~insist_after:(if sup then supervised_insist_after else 0)
+      eng manager
   in
-  let broker = Qcore.Broker.create ~trace eng manager broker_cfg in
   let _pool_comp =
     Qcore.Broker.register broker ~name:"bufpool" ~clerk:pool_clerk ~weight:1.5
       ~min_bytes:cfg.Config.min_pool_bytes
@@ -207,11 +219,13 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
     else None
   in
   let super =
-    if not sup.Health.Supervise.enabled then None
+    if not sup then None
     else begin
-      let wdog = Health.Watchdog.create ~trace eng sup.Health.Supervise.watchdog in
+      let wdog =
+        Health.Watchdog.create ~trace eng Health.Watchdog.default_config
+      in
       let starv =
-        Health.Starvation.create ~trace eng sup.Health.Supervise.starvation
+        Health.Starvation.create ~trace eng Health.Starvation.default_config
       in
       (* The audited gates are the compile gateways; the grant queue is
          byte-denominated and already trims per query, so widening it is
@@ -225,7 +239,7 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
             ~set_slots:(fun n -> Qcore.Monitor.set_slots m n))
         (Qcore.Compile_gov.monitors gov);
       let breakers =
-        Health.Breaker.create ~trace eng sup.Health.Supervise.breaker
+        Health.Breaker.create ~trace eng Health.Breaker.default_config
       in
       Some { wdog; starv; breakers }
     end
@@ -234,7 +248,7 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
   let sflight =
     Plancache.Singleflight.create
       ~mode:
-        (if defense.Config.d_singleflight then Plancache.Singleflight.Coalesce
+        (if defense.Config.d_enabled then Plancache.Singleflight.Coalesce
          else Plancache.Singleflight.Observe)
       eng
   in
@@ -247,14 +261,14 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
          in
          Obs.Trace.emit trace ~time:(Sim.Engine.now eng) ~qid:template
            (Obs.Event.Singleflight_coalesce { template; waiters })));
-  let storm = Health.Storm.create ~trace eng defense.Config.d_storm in
-  if defense.Config.d_adaptive_queues || defense.Config.d_deadline_shed then
+  let storm =
+    Health.Storm.create ~trace eng
+      (if defense.Config.d_enabled then Health.Storm.default_config
+       else Health.Storm.disabled)
+  in
+  if defense.Config.d_enabled then
     Qcore.Compile_gov.set_defense gov
-      {
-        Qcore.Compile_gov.adaptive_lifo = defense.Config.d_adaptive_queues;
-        lifo_after_s = defense.Config.d_lifo_after_s;
-        deadline_shed = defense.Config.d_deadline_shed;
-      };
+      ~lifo_after_s:defense.Config.d_lifo_after_s;
   {
     eng;
     trace;
@@ -292,7 +306,7 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
 let start t =
   Qcore.Broker.start t.broker;
   Metrics.watch_memory ~trace:t.trace t.metrics
-    ~interval:t.cfg.Config.metrics_interval t.clerk_list;
+    ~interval:metrics_interval t.clerk_list;
   match t.super with
   | None -> ()
   | Some s ->
@@ -406,7 +420,7 @@ let compile_degraded t q =
       let n = Optimizer.Query.n_rels q in
       match
         Qcore.Compile_gov.alloc session
-          (params.Optimizer.Cascades.phys_bytes * n)
+          (Optimizer.Cascades.phys_bytes * n)
       with
       | Error e -> Error e
       | Ok () ->
@@ -426,7 +440,7 @@ let compile_degraded t q =
    the arrival trend already shows — so a benign system never sheds. *)
 let should_shed t =
   let r = t.cfg.Config.resilience in
-  r.Resilience.enabled && r.Resilience.shed_enabled
+  r.Resilience.enabled
   && (Qcore.Compile_gov.pressure t.gov <> Qcore.Compile_gov.Calm
      || Health.Storm.active t.storm)
   &&
@@ -440,7 +454,7 @@ let should_shed t =
   in
   let in_flight = Qcore.Compile_gov.active_sessions t.gov + 1 in
   float_of_int in_flight *. predicted_per_query
-  > r.Resilience.shed_factor *. float_of_int target
+  > Resilience.shed_factor *. float_of_int target
 
 let abort_to_error ~by_watchdog = function
   | Optimizer.Env.Out_of_memory ->
@@ -517,8 +531,8 @@ let rec plan_for t ~degraded ~deadline ~watch ?(sf_depth = 0) q =
 let submit t q =
   let r = t.cfg.Config.resilience in
   let deadline =
-    if r.Resilience.enabled && r.Resilience.deadline_s > 0. then
-      Some (Sim.Engine.now t.eng +. r.Resilience.deadline_s)
+    if r.Resilience.enabled then
+      Some (Sim.Engine.now t.eng +. Resilience.deadline_s)
     else None
   in
   let past_deadline () =
@@ -600,13 +614,12 @@ let submit t q =
            rung instead of burning a long gateway wait first. *)
         let degraded =
           degraded
-          || r.Resilience.enabled && r.Resilience.degrade_enabled
+          || r.Resilience.enabled
              && Qcore.Compile_gov.pressure t.gov <> Qcore.Compile_gov.Calm
         in
         match plan_for t ~degraded ~deadline ~watch q with
         | Error { Health.Error.code = Health.Error.Insufficient_memory; _ }
-          when r.Resilience.enabled && r.Resilience.degrade_enabled
-               && not degraded ->
+          when r.Resilience.enabled && not degraded ->
             (* The full search could not get memory; the greedy plan needs
                almost none. Fall down the ladder without burning a retry. *)
             attempt n ~degraded:true
@@ -633,13 +646,10 @@ let submit t q =
                   Metrics.record_degraded t.metrics;
                 Ok ()
               in
-              match
-                Execsim.Runner.run ~qid t.exec_resources
-                  t.cfg.Config.exec_config plan
-              with
+              match Execsim.Runner.run ~qid t.exec_resources plan with
               | Ok outcome -> finish ~reduced:false outcome
               | Error { Health.Error.code = Health.Error.Low_memory_condition; _ }
-                when r.Resilience.enabled && r.Resilience.degrade_enabled -> (
+                when r.Resilience.enabled -> (
                   (* The exec rung of the ladder: the plan's ideal
                      workspace is not physically available, so immediately
                      rerun asking for the grant floor and spill the
@@ -648,7 +658,7 @@ let submit t q =
                   match
                     Execsim.Runner.run
                       ~grant_cap:(Execsim.Grant.min_grant t.grants)
-                      ~qid t.exec_resources t.cfg.Config.exec_config plan
+                      ~qid t.exec_resources plan
                   with
                   | Ok outcome -> finish ~reduced:true outcome
                   | Error e -> retry n ~degraded e)
@@ -817,7 +827,7 @@ let reclaim t n =
    back up by the reserved fraction the broker holds out — so the arbiter
    sizes the whole pool, not just its brokered part. *)
 let join_arbiter t arb ~name ~weight ~min_share ~max_share =
-  let reserved = t.cfg.Config.broker.Qcore.Broker.reserved_fraction in
+  let reserved = Qcore.Broker.reserved_fraction in
   let demand () =
     int_of_float
       (float_of_int (Qcore.Broker.predicted_total t.broker) /. (1. -. reserved))

@@ -29,7 +29,7 @@ val start : t -> unit
     degradation ladder), grant acquisition, simulated execution — plus
     the configured retry policy around the transient failure modes. With
     [config.resilience = Resilience.disabled] (the default) the behaviour
-    is the seed pipeline exactly; with [config.supervision] enabled the
+    is the seed pipeline exactly; with [config.supervision] on the
     query additionally holds a watchdog heartbeat, is gated by its
     template's circuit breaker, and every failure carries a structured
     {!Health.Error.t}. *)
@@ -42,7 +42,7 @@ val submit_catch : t -> Optimizer.Query.t -> (unit, string) result
 
     Driven by {!Config.defense}. Singleflight always runs — in [Observe]
     mode (defenses off) it only counts the duplicate compiles coalescing
-    would have saved; with [d_singleflight] on, concurrent compiles of
+    would have saved; with [d_enabled] on, concurrent compiles of
     one canonical statement coalesce onto the leader's optimization. *)
 
 (** Compile [q] into the plan cache {e without} executing it — the

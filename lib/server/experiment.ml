@@ -37,7 +37,11 @@ type loop = {
   injector : Faultsim.Injector.t option;
 }
 
+let check_clients clients =
+  if clients < 1 then invalid_arg "Experiment: clients < 1"
+
 let closed_loop ~trace cfg client_config cat templates ~clients ~stop ~until =
+  check_clients clients;
   let eng = Sim.Engine.create ~seed:cfg.Config.seed () in
   let dbms = Dbms.create ~trace eng cfg cat in
   Dbms.start dbms;

@@ -45,8 +45,13 @@ type loop = {
   injector : Faultsim.Injector.t option;
 }
 
+(** Raises [Invalid_argument "Experiment: clients < 1"] unless
+    [clients >= 1]: the client-count check of {!closed_loop}, callable
+    before any run. *)
+val check_clients : int -> unit
+
 (** [closed_loop ~trace cfg client_config cat templates ~clients ~stop
-    ~until] builds a server from [cfg] on a fresh engine seeded with
+    ~until] checks [clients] ({!check_clients}), then builds a server from [cfg] on a fresh engine seeded with
     [cfg.seed], installs [cfg.faults] (burst clients share the workload's
     templates and stats), starts [clients] closed-loop clients that
     submit until [stop], and runs the engine to [until] ([until > stop]

@@ -32,7 +32,10 @@ let ladder_slots =
        Qcore.Throttle_config.slot_count l.Qcore.Throttle_config.slots ~cpus:1))
     ladder.Qcore.Throttle_config.levels
 
-let run ?(seed = 7) ?(qseed = 11) ?(trace = Obs.Trace.null) ?(until = 600.) () =
+(* Seed of the query-parameter stream. *)
+let qseed = 11
+
+let run ?(seed = 7) ?(trace = Obs.Trace.null) ?(until = 600.) () =
   let eng = Sim.Engine.create ~seed () in
   let manager = Dbmem.Manager.create ~total:(Dbmem.Units.gib 1) () in
   if Obs.Trace.enabled trace then

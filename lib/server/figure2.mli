@@ -4,7 +4,7 @@
     first 60 seconds so Q1 experiences blocking. The per-query memory
     curves show the signature flat segments while blocked at a gateway.
 
-    The scenario is deterministic for a fixed [(seed, qseed)] pair, and
+    The scenario is deterministic for a fixed seed, and
     tracing does not perturb it (the trace sink consumes no randomness),
     which is what the golden-trace expect test relies on. *)
 
@@ -15,12 +15,13 @@ type result = {
   failures : int;  (** simulation process failures (0 in a healthy run) *)
 }
 
-(** [run ?seed ?qseed ?trace ?until ()] — defaults replicate the bench
-    scenario exactly: engine seed [7], query-parameter seed [11], run
+(** [run ?seed ?trace ?until ()] — defaults replicate the bench
+    scenario exactly: engine seed [7] (query parameters are drawn from
+    their own stream, seed [11]), run
     until [600.] simulated seconds. Query ids in the trace are
     ["Q1".."Q3"] and ["background"]. *)
 val run :
-  ?seed:int -> ?qseed:int -> ?trace:Obs.Trace.t -> ?until:float -> unit -> result
+  ?seed:int -> ?trace:Obs.Trace.t -> ?until:float -> unit -> result
 
 (** The gateway slot counts of the scenario's ladder, by monitor name
     (["first"], ["second"], ["third"]) — for invariant checks over the

@@ -4,11 +4,10 @@ type t = {
   backoff_base_s : float;
   backoff_max_s : float;
   jitter_frac : float;
-  degrade_enabled : bool;
-  shed_enabled : bool;
-  shed_factor : float;
-  deadline_s : float;
 }
+
+let shed_factor = 3.0
+let deadline_s = 1800.
 
 let disabled =
   {
@@ -17,10 +16,6 @@ let disabled =
     backoff_base_s = 0.;
     backoff_max_s = 0.;
     jitter_frac = 0.;
-    degrade_enabled = false;
-    shed_enabled = false;
-    shed_factor = 0.;
-    deadline_s = 0.;
   }
 
 (* Backoff sized for minutes-long pressure transients: five attempts
@@ -33,10 +28,6 @@ let default =
     backoff_base_s = 15.;
     backoff_max_s = 240.;
     jitter_frac = 0.5;
-    degrade_enabled = true;
-    shed_enabled = true;
-    shed_factor = 3.0;
-    deadline_s = 1800.;
   }
 
 let backoff t ~attempt ~rng =
@@ -140,6 +131,6 @@ let pp ppf t =
   else
     Format.fprintf ppf
       "resilience ON: retries<=%d backoff %.0f-%.0fs (jitter %.0f%%), \
-       degrade=%b shed=%b (factor %.1f), deadline %.0fs"
+       degrade=true shed=true (factor %.1f), deadline %.0fs"
       t.max_retries t.backoff_base_s t.backoff_max_s (100. *. t.jitter_frac)
-      t.degrade_enabled t.shed_enabled t.shed_factor t.deadline_s
+      shed_factor deadline_s

@@ -21,17 +21,21 @@
       gateways forever. *)
 
 type t = {
-  enabled : bool;  (** master switch; [false] = seed behaviour exactly *)
+  enabled : bool;
+      (** master switch for all four mechanisms; [false] = seed behaviour
+          exactly *)
   max_retries : int;  (** retry budget per query, on top of attempt 1 *)
   backoff_base_s : float;  (** first backoff; doubles per retry *)
   backoff_max_s : float;  (** backoff cap *)
   jitter_frac : float;  (** uniform jitter as a fraction of the backoff *)
-  degrade_enabled : bool;  (** greedy-plan fallback ladder *)
-  shed_enabled : bool;  (** admission-control load shedding *)
-  shed_factor : float;
-      (** shed when [in_flight * predicted_bytes > shed_factor * target] *)
-  deadline_s : float;  (** per-query wall-clock budget; [0.] = none *)
 }
+
+(** Admission control sheds when
+    [in_flight * predicted_bytes > shed_factor * target]: [3.0]. *)
+val shed_factor : float
+
+(** Per-query wall-clock budget, seconds: [1800.]. *)
+val deadline_s : float
 
 (** Everything off — the seed server, bit for bit. *)
 val disabled : t

@@ -10,29 +10,22 @@
    All routing randomness (retry jitter) comes from one dedicated split
    stream, so adding a router to a simulation perturbs nothing else. *)
 
-type config = {
-  vnodes : int;
-  max_retries : int;
-  backoff : Resilience.t;  (** only the backoff parameters are read *)
-  hedge_enabled : bool;
-  hedge_after : float;
-  breaker : Health.Breaker.config;
-}
+(* Ring points per shard (placement granularity). *)
+let vnodes = 40
 
-let default_config =
-  {
-    vnodes = 40;
-    max_retries = 2;
-    backoff = { Resilience.default with backoff_base_s = 1.0; jitter_frac = 0.2 };
-    hedge_enabled = false;
-    hedge_after = 20.;
-    breaker = Health.Breaker.default_config;
-  }
+(* Re-routes after a retryable failure. *)
+let max_retries = 2
+
+(* Only the backoff parameters are read. *)
+let backoff = { Resilience.default with backoff_base_s = 1.0; jitter_frac = 0.2 }
+
+(* Seconds before hedging a browned-out shard. *)
+let hedge_after = 20.
 
 type t = {
   eng : Sim.Engine.t;
   trace : Obs.Trace.t;
-  cfg : config;
+  hedge : bool;
   shards : Shard.t array;
   breakers : Health.Breaker.t;  (* keyed by shard name *)
   rng : Sim.Rng.t;
@@ -70,7 +63,7 @@ let fnv1a s =
   let m = Int64.logxor m (Int64.shift_right_logical m 31) in
   Int64.to_int (Int64.shift_right_logical m 1)
 
-let build_ring shards vnodes =
+let build_ring shards =
   let points =
     Array.init (Array.length shards * vnodes) (fun i ->
         let s = i / vnodes and v = i mod vnodes in
@@ -79,17 +72,16 @@ let build_ring shards vnodes =
   Array.sort compare points;
   points
 
-let create ?(trace = Obs.Trace.null) ?(cfg = default_config) eng shards =
+let create ?(trace = Obs.Trace.null) ?(hedge = false) eng shards =
   if Array.length shards = 0 then invalid_arg "Router.create: no shards";
-  if cfg.vnodes < 1 then invalid_arg "Router.create: vnodes < 1";
   {
     eng;
     trace;
-    cfg;
+    hedge;
     shards;
-    breakers = Health.Breaker.create ~trace eng cfg.breaker;
+    breakers = Health.Breaker.create ~trace eng Health.Breaker.default_config;
     rng = Sim.Rng.split (Sim.Engine.rng eng);
-    ring = build_ring shards cfg.vnodes;
+    ring = build_ring shards;
     latency = Obs.Hist.create ();
     measure_from = 0.;
     submitted = 0;
@@ -206,7 +198,7 @@ let hedged_submit t sh ~template q =
         ~name:("route:" ^ Shard.name sh)
         (fun () -> finish `Primary sh (Shard.submit_tracked sh q));
       ignore
-        (Sim.Engine.schedule t.eng ~delay:t.cfg.hedge_after (fun () ->
+        (Sim.Engine.schedule t.eng ~delay:hedge_after (fun () ->
              if not !settled then
                match alternate t ~except:(Shard.index sh) with
                | None -> ()
@@ -242,7 +234,7 @@ let rec attempt t q ~template ~budget ~attempt_no =
       if spill then t.spills <- t.spills + 1;
       emit_route t ~shard:(Shard.name sh) ~template ~spill ~hedged:false;
       let shard_name, r =
-        if t.cfg.hedge_enabled && Shard.state sh = Shard.Browned_out then
+        if t.hedge && Shard.state sh = Shard.Browned_out then
           hedged_submit t sh ~template q
         else (Shard.name sh, Shard.submit sh q)
       in
@@ -251,7 +243,7 @@ let rec attempt t q ~template ~budget ~attempt_no =
       | Ok () -> Ok ()
       | Error e
         when Health.Error.retryable e.Health.Error.code
-             && attempt_no <= t.cfg.max_retries ->
+             && attempt_no <= max_retries ->
           (* The retry budget is spent *before* the backoff: a client out
              of tokens fails fast instead of joining the retry storm, and
              the queue behind it drains by one instead of growing by one.
@@ -275,7 +267,7 @@ let rec attempt t q ~template ~budget ~attempt_no =
           else begin
             t.retries <- t.retries + 1;
             Sim.Engine.sleep
-              (Resilience.backoff t.cfg.backoff ~attempt:attempt_no
+              (Resilience.backoff backoff ~attempt:attempt_no
                  ~rng:t.rng);
             attempt t q ~template ~budget ~attempt_no:(attempt_no + 1)
           end

@@ -1,6 +1,6 @@
 (** Health-aware query routing across shards.
 
-    Placement is consistent hashing: each shard owns [vnodes] points on a
+    Placement is consistent hashing: each shard owns 40 points on a
     ring keyed by FNV-1a of the shard name; a query's template hashes
     onto the ring and walks forward to its {e home} shard. The walk skips
     shards that are [Down] and shards whose per-shard circuit breaker
@@ -13,26 +13,18 @@
     Failures are handled with the same deterministic ladder clients get
     inside one server: retryable errors re-route (the crashed shard now
     refuses instantly, so the retry lands elsewhere) with
-    {!Resilience.backoff} jitter from a dedicated split stream, up to
-    [max_retries]. Optionally, a submission whose home shard is
-    [Browned_out] is {e hedged}: dispatched to the slow primary and, if
-    still unresolved after [hedge_after] seconds, also to a healthy
-    alternate — first completion wins, the loser's work is wasted. *)
-
-type config = {
-  vnodes : int;  (** ring points per shard (placement granularity) *)
-  max_retries : int;  (** re-routes after a retryable failure *)
-  backoff : Resilience.t;  (** only the backoff parameters are read *)
-  hedge_enabled : bool;
-  hedge_after : float;  (** seconds before hedging a browned-out shard *)
-  breaker : Health.Breaker.config;  (** per-shard breaker policy *)
-}
-
-val default_config : config
+    {!Resilience.backoff} jitter (1 s base, 20% jitter) from a dedicated
+    split stream, up to 2 re-routes. The per-shard breakers run
+    {!Health.Breaker.default_config}. *)
 
 type t
 
-val create : ?trace:Obs.Trace.t -> ?cfg:config -> Sim.Engine.t -> Shard.t array -> t
+(** [create ?trace ?hedge eng shards]. With [hedge] (default [false]), a
+    submission whose home shard is [Browned_out] is {e hedged}:
+    dispatched to the slow primary and, if still unresolved after 20
+    seconds, also to a healthy alternate — first completion wins, the
+    loser's work is wasted. *)
+val create : ?trace:Obs.Trace.t -> ?hedge:bool -> Sim.Engine.t -> Shard.t array -> t
 
 (** Route and run one query; must be called from a simulation process.
     [Error Shard_unavailable] with detail ["no shard available"] when

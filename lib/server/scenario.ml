@@ -1,11 +1,13 @@
-let chaos_faults ?(ballast_gib = 12.) ?(at = 100.) ?(ramp_steps = 240)
-    ?(step_s = 2.5) ?(glitch = 0.15) () =
+(* The ballast: 12 GiB ramping in 240 steps of 2.5 s from t = 100 s. *)
+let ballast_bytes = 12 * Dbmem.Units.gib 1
+let at = 100.
+let ramp_steps = 240
+let step_s = 2.5
+
+let chaos_faults ?(glitch = 0.15) () =
   let window = float_of_int ramp_steps *. step_s in
-  (if ballast_gib > 0. then
-     Faultsim.Fault.pressure_spike ~ramp_steps ~step_s ~at
-       ~bytes:(int_of_float (ballast_gib *. float_of_int (Dbmem.Units.gib 1)))
-       ~hold:0. ()
-   else [])
+  Faultsim.Fault.pressure_spike ~ramp_steps ~step_s ~at ~bytes:ballast_bytes
+    ~hold:0. ()
   @
   if glitch > 0. then
     [

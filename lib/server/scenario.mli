@@ -6,18 +6,12 @@
     replay the same run, byte for byte. *)
 
 (** The default schedule: a 12 GiB external ballast ramping over 600 s
-    starting at [at] (the paper's §3 external-pressure transient), plus a
-    transient allocation-failure window on the compile clerk for the same
-    600 s so the circuit breakers and the error taxonomy see real 701s.
-    [ballast_gib = 0.] / [glitch = 0.] drop the respective fault. *)
-val chaos_faults :
-  ?ballast_gib:float ->
-  ?at:float ->
-  ?ramp_steps:int ->
-  ?step_s:float ->
-  ?glitch:float ->
-  unit ->
-  Faultsim.Fault.spec list
+    (240 steps of 2.5 s) starting at 100 s (the paper's §3
+    external-pressure transient), plus a transient allocation-failure
+    window on the compile clerk for the same 600 s, with failure
+    probability [glitch] (default [0.15]), so the circuit breakers and the
+    error taxonomy see real 701s. [glitch = 0.] drops the glitch. *)
+val chaos_faults : ?glitch:float -> unit -> Faultsim.Fault.spec list
 
 type outcome = {
   dbms : Dbms.t;  (** the server, kept alive for component inspection *)

@@ -191,11 +191,7 @@ let run ?(trace = Obs.Trace.null) cfg =
            ~max_share:(Float.min 1.0 (2.0 /. float_of_int n))))
     shards;
   Qcore.Arbiter.start arbiter;
-  let router =
-    Router.create ~trace
-      ~cfg:{ Router.default_config with hedge_enabled = cfg.c_hedge }
-      eng shards
-  in
+  let router = Router.create ~trace ~hedge:cfg.c_hedge eng shards in
   Router.set_measure_from router cfg.c_warmup;
   inject eng shards (faults_of cfg);
   (* Per-shard Chrome counters plus the budget-conservation watermark. *)

@@ -179,7 +179,6 @@ let run ?(trace = Obs.Trace.null) cfg =
   let shard_cfg =
     {
       base with
-      Config.throttle_enabled = true;
       (* Plentiful execution hardware. The paper's premise is that
          compilation, not execution, is the scarce resource; on the
          default era-sized disk array this testbed saturates exec-side,
@@ -187,7 +186,7 @@ let run ?(trace = Obs.Trace.null) cfg =
          as latency and no retry loop can ignite. A modern array makes
          execution cheap, so the compile gateways are the binding
          constraint and a cold cache turns into a real queue there. *)
-      disk_spindles = 64;
+      Config.disk_spindles = 64;
       disk_throughput = 320. *. 1024. *. 1024.;
       (* Complex-schema tier: each optimization task costs 3x the default
          CPU — deep join orders, wide indexes. A cold cache is then a

@@ -260,8 +260,7 @@ let test_broker_insists_on_deaf_components () =
   let mib = Dbmem.Units.mib in
   let eng = Sim.Engine.create () in
   let m = Dbmem.Manager.create ~total:(mib 100) () in
-  let cfg = { Qcore.Broker.default_config with Qcore.Broker.insist_after = 3 } in
-  let broker = Qcore.Broker.create eng m cfg in
+  let broker = Qcore.Broker.create ~insist_after:3 eng m in
   let deaf = Dbmem.Manager.create_clerk m "deaf" in
   let nice = Dbmem.Manager.create_clerk m "nice" in
   let reclaims = ref [] in

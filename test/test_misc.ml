@@ -142,6 +142,39 @@ let test_pp_smoke () =
   let s = Format.asprintf "%a" Optimizer.Histogram.pp h in
   Alcotest.(check bool) "histogram pp" true (contains s "equi-depth")
 
+(* Exact text of [Config.pp] for the presets that switch on resilience,
+   supervision and the storm defenses: it prints the disk, the pool
+   granule, the degrade/shed/deadline policy and every defense switch, so
+   a change to any of those values shows up here. *)
+let config_head =
+  "server: 8 cpus, 4.00 GiB memory, 8 spindles @ 40 MB/s, pool granule \
+   4.00 MiB\n\
+   throttle ON (dynamic thresholds)\n\
+   gateway ladder (dynamic=true)\n\
+  \  small    threshold>=2.00 MiB     slots=4/cpu    timeout=120s\n\
+  \  medium   threshold>=96.00 MiB    slots=1/cpu    timeout=300s\n\
+  \  big      threshold>=448.00 MiB   slots=1 total  timeout=600s\n\
+   \n"
+
+let resilience_on =
+  "resilience ON: retries<=5 backoff 15-240s (jitter 50%), degrade=true \
+   shed=true (factor 3.0), deadline 1800s"
+
+let test_config_pp_exact () =
+  let pp cfg = Format.asprintf "%a" Server.Config.pp cfg in
+  Alcotest.(check string) "resilient" (config_head ^ resilience_on)
+    (pp (Server.Config.resilient ()));
+  Alcotest.(check string) "supervised"
+    (config_head ^ resilience_on
+   ^ "\nsupervision ON: watchdog + starvation auditor + breakers")
+    (pp (Server.Config.supervised ()));
+  Alcotest.(check string) "defended"
+    (config_head
+   ^ "resilience OFF\n\
+      storm defense ON: singleflight=true budget=true \
+      adaptive-queues=true deadline-shed=true detector=true warm-prime=4")
+    (pp { (Server.Config.default ()) with defense = Server.Config.defended })
+
 let suite =
   [
     ("metrics recording", `Quick, test_metrics_recording);
@@ -152,4 +185,5 @@ let suite =
     ("materialize serial pk", `Quick, test_materialize_serial_pk);
     ("materialize table list", `Quick, test_materialize_lists_tables);
     ("pretty-printer smoke", `Quick, test_pp_smoke);
+    ("config pp exact text", `Quick, test_config_pp_exact);
   ]

@@ -118,10 +118,10 @@ let prop_trend_slope_recovers_line =
 (* ------------------------------------------------------------------ *)
 (* Broker *)
 
-let make_broker ?(total = mib 1000) ?(config = Broker.default_config) () =
+let make_broker ?(total = mib 1000) () =
   let eng = Sim.Engine.create () in
   let m = Dbmem.Manager.create ~total () in
-  let broker = Broker.create eng m config in
+  let broker = Broker.create eng m in
   (eng, m, broker)
 
 let test_broker_no_pressure_no_action () =
