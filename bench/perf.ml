@@ -12,41 +12,16 @@
      dune exec bench/perf.exe -- --jobs 4 --out BENCH_perf.json
 
    Suites: optimizer compile (DP + Cascades on SALES shapes), the
-   sim-engine event loop, a full experiment cell, and the parallel grid
-   speedup with a byte-identity check. *)
+   sim-engine event loop, the mid-tier cache, the buffer pool's
+   replacement policies, the storm defenses, a full experiment cell, and
+   the parallel grid speedup with a byte-identity check. *)
 
 let quick = ref false
 let jobs = ref 0 (* 0 = auto; clamped to the core count after parsing *)
 let jobs_requested = ref 0
 let out_path = ref "BENCH_perf.json"
 
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-type bench = {
-  name : string;
-  iters : int;
-  wall_s : float;
-  per_op_ns : float;
-  alloc_bytes_per_op : float;
-}
-
-let time_bench ~name ~iters f =
-  (* One warm-up call keeps first-use effects (catalog build, heap
-     growth) out of the measurement. *)
-  ignore (f ());
-  let a0 = Gc.allocated_bytes () in
-  let (), wall_s = wall (fun () -> for _ = 1 to iters do ignore (f ()) done) in
-  let alloc = Gc.allocated_bytes () -. a0 in
-  {
-    name;
-    iters;
-    wall_s;
-    per_op_ns = wall_s *. 1e9 /. float_of_int iters;
-    alloc_bytes_per_op = alloc /. float_of_int iters;
-  }
+open Perfkit
 
 (* ------------------------------------------------------------------ *)
 (* Optimizer compile *)
@@ -137,16 +112,7 @@ let steady_state_benches () =
   let fresh =
     time_bench ~name:"optimizer_steady_state_fresh" ~iters (fun () -> run ())
   in
-  (* Normalise run-of-N to per-query numbers. *)
-  List.map
-    (fun b ->
-      {
-        b with
-        iters = b.iters * n_queries;
-        per_op_ns = b.per_op_ns /. float_of_int n_queries;
-        alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int n_queries;
-      })
-    [ reused; fresh ]
+  List.map (per_op n_queries) [ reused; fresh ]
 
 (* ------------------------------------------------------------------ *)
 (* Sim-engine event loop *)
@@ -184,8 +150,8 @@ let midcache_bench () =
       { Midcache.Cache.default_config with ttl = 1e9 }
   in
   let rels = [| "customer"; "product"; "store"; "promo" |] in
-  let b =
-    time_bench ~name:"midcache_ops" ~iters (fun () ->
+  per_op ops
+    (time_bench ~name:"midcache_ops" ~iters (fun () ->
         for i = 0 to ops - 1 do
           let key = Printf.sprintf "q%d" (i land 4095) in
           if i land 3 = 0 then
@@ -196,15 +162,48 @@ let midcache_bench () =
             ignore
               (Midcache.Cache.put cache ~now:0. ~key ~bytes:(32 * 1024)
                  ~rels:[ rels.(i land 3) ])
-        done)
+        done))
+
+(* ------------------------------------------------------------------ *)
+(* Buffer-pool replacement policies *)
+
+(* The pool's per-access policy traffic, as [Pool.access] makes it: mem,
+   then touch on a hit, or evict (once full) and insert on a miss. The
+   pool holds 1000 pages, the default 4 GiB server's working set; a
+   seeded stream over four tables sends 80% of accesses to a hot fifth
+   of 1500 pages, so hits, misses and evictions all recur. Each
+   iteration runs the stream through LRU, CLOCK and LRU-2, whose state
+   carries over between iterations: the steady state. *)
+let bufpool_policy_bench () =
+  let ops = if !quick then 20_000 else 200_000 in
+  let iters = if !quick then 3 else 5 in
+  let capacity = 1000 and universe = 1500 in
+  let rng = Sim.Rng.create 5 in
+  let stream =
+    Array.init ops (fun _ ->
+        let k =
+          if Sim.Rng.int rng 10 < 8 then Sim.Rng.int rng (universe / 5)
+          else Sim.Rng.int rng universe
+        in
+        Bufpool.Policy.page_id ~table:(k land 3) ~page:(k * 7919))
   in
-  (* Normalise run-of-N to per-op numbers. *)
-  {
-    b with
-    iters = iters * ops;
-    per_op_ns = b.per_op_ns /. float_of_int ops;
-    alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int ops;
-  }
+  let policies =
+    List.map Bufpool.Policy.create Bufpool.Policy.[ Lru; Clock; Lru2 ]
+  in
+  per_op (3 * ops)
+    (time_bench ~name:"bufpool_policy_ops" ~iters (fun () ->
+         List.iter
+           (fun p ->
+             Array.iter
+               (fun page ->
+                 if Bufpool.Policy.mem p page then Bufpool.Policy.touch p page
+                 else begin
+                   if Bufpool.Policy.size p >= capacity then
+                     ignore (Bufpool.Policy.evict p);
+                   Bufpool.Policy.insert p page
+                 end)
+               stream)
+           policies))
 
 (* ------------------------------------------------------------------ *)
 (* Storm-defense hot paths *)
@@ -217,21 +216,14 @@ let singleflight_bench () =
   let iters = if !quick then 3 else 5 in
   let eng = Sim.Engine.create ~seed:1 () in
   let sf = Plancache.Singleflight.create eng in
-  let b =
-    time_bench ~name:"singleflight_ops" ~iters (fun () ->
+  per_op ops
+    (time_bench ~name:"singleflight_ops" ~iters (fun () ->
         for i = 0 to ops - 1 do
           let key = Printf.sprintf "p%03d" (i land 127) in
           match Plancache.Singleflight.enter sf ~key () with
           | `Leader tok -> Plancache.Singleflight.exit sf tok
           | _ -> assert false
-        done)
-  in
-  {
-    b with
-    iters = iters * ops;
-    per_op_ns = b.per_op_ns /. float_of_int ops;
-    alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int ops;
-  }
+        done))
 
 (* Retry-budget token bucket: the per-retry spend / per-success earn the
    router pays on every outcome. *)
@@ -241,19 +233,12 @@ let retry_budget_bench () =
   let budget =
     Server.Resilience.Budget.create Server.Resilience.Budget.default_config
   in
-  let b =
-    time_bench ~name:"retry_budget_ops" ~iters (fun () ->
+  per_op ops
+    (time_bench ~name:"retry_budget_ops" ~iters (fun () ->
         for i = 0 to ops - 1 do
           if i land 1 = 0 then Server.Resilience.Budget.earn budget
           else ignore (Server.Resilience.Budget.try_spend budget)
-        done)
-  in
-  {
-    b with
-    iters = iters * ops;
-    per_op_ns = b.per_op_ns /. float_of_int ops;
-    alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int ops;
-  }
+        done))
 
 (* ------------------------------------------------------------------ *)
 (* Experiment cells and the parallel grid *)
@@ -292,17 +277,9 @@ let pool_overhead_bench () =
   let iters = if !quick then 3 else 10 in
   Parallel.Pool.with_pool ~jobs:(max 2 !jobs) (fun pool ->
       let items = List.init tasks Fun.id in
-      let b =
-        time_bench ~name:"pool_submit_roundtrip" ~iters (fun () ->
-            Parallel.Pool.map pool (fun x -> x + 1) items)
-      in
-      (* Normalise map-of-N to per-task numbers. *)
-      {
-        b with
-        iters = iters * tasks;
-        per_op_ns = b.per_op_ns /. float_of_int tasks;
-        alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int tasks;
-      })
+      per_op tasks
+        (time_bench ~name:"pool_submit_roundtrip" ~iters (fun () ->
+             Parallel.Pool.map pool (fun x -> x + 1) items)))
 
 type grid_outcome = {
   cells : int;
@@ -471,6 +448,7 @@ let () =
     @ [
         engine_bench ();
         midcache_bench ();
+        bufpool_policy_bench ();
         singleflight_bench ();
         retry_budget_bench ();
         experiment_bench ();

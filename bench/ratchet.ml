@@ -189,6 +189,7 @@ let tight_alloc_benches =
     "cascades_optimize_sales";
     "optimizer_steady_state";
     "sim_engine_event_loop";
+    "bufpool_policy_ops";
   ]
 
 let benchmarks_of j =
@@ -270,7 +271,9 @@ let () =
   let base_benches = benchmarks_of baseline in
   let failures = ref 0 in
   let check name kind ~tol base cur =
-    let ratio = if base > 0. then cur /. base else 1. in
+    (* A zero baseline (an allocation-free benchmark) holds at zero: any
+       allocation at all is the regression. *)
+    let ratio = if base > 0. then cur /. base else if cur > 0. then infinity else 1. in
     let bad = ratio > 1. +. tol in
     if bad then incr failures;
     Printf.printf "  %-28s %-8s %12.1f -> %12.1f  %+6.1f%%%s\n" name kind base

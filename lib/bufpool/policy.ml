@@ -1,222 +1,176 @@
-type page = int * int
+type page = int
 type kind = Lru | Clock | Lru2
 
-(* --- LRU: hashtable of current stamps + lazily-cleaned FIFO of (page,
-   stamp) entries; an entry is live iff its stamp is still current. --- *)
-module Lru_impl = struct
-  type t = {
-    stamps : (page, int) Hashtbl.t;
-    queue : (page * int) Queue.t;
-    mutable clock : int;
+let page_bits = 40
+let max_table = (1 lsl (Sys.int_size - 1 - page_bits)) - 1
+let max_page_no = (1 lsl page_bits) - 1
+
+let page_id ~table ~page =
+  if table < 0 || table > max_table then invalid_arg "Policy.page_id: table";
+  if page < 0 || page > max_page_no then invalid_arg "Policy.page_id: page";
+  (table lsl page_bits) lor page
+
+(* [idx] maps each resident page to two ints [a] and [b]: LRU keeps its
+   current stamp in [a], CLOCK its reference bit, LRU-2 its last access
+   t1 in [a] and the one before, t2, in [b] (-1 until the second).
+
+   The order lives in three int columns of (t2, t1, page) entries: a
+   FIFO ring from [head] for LRU and CLOCK, a binary min-heap on
+   (t2, t1) for LRU-2, whose [head] stays 0. LRU pushes (0, stamp) on
+   every access and LRU-2 (t2, t1), so both sync lazily: an entry is
+   live iff it still equals its page's (b, a), and eviction skips stale
+   ones. CLOCK pushes (0, 0) on insert only. *)
+type t = {
+  kind : kind;
+  idx : Itab.t;
+  mutable c2 : int array;
+  mutable c1 : int array;
+  mutable cp : int array;
+  mutable head : int;
+  mutable len : int;
+  mutable clock : int;
+}
+
+let create kind =
+  {
+    kind;
+    idx = Itab.create ();
+    c2 = Array.make 16 0;
+    c1 = Array.make 16 0;
+    cp = Array.make 16 0;
+    head = 0;
+    len = 0;
+    clock = 0;
   }
 
-  let create () = { stamps = Hashtbl.create 256; queue = Queue.create (); clock = 0 }
+let live t p t2 t1 =
+  let s = Itab.slot t.idx p in
+  s >= 0 && Itab.a t.idx s = t1 && Itab.b t.idx s = t2
 
-  (* Every touch pushes a fresh (page, stamp) pair and only [evict] drops
-     stale ones, so a touch-heavy, eviction-free workload grows the queue
-     without bound. Once stale entries outnumber live pages, rebuild the
-     queue from the live entries (FIFO order preserved); the [max _ 32]
-     keeps tiny pools from compacting on every touch. *)
-  let compact t =
-    let fresh = Queue.create () in
-    Queue.iter
-      (fun ((p, stamp) as e) ->
-        match Hashtbl.find_opt t.stamps p with
-        | Some current when current = stamp -> Queue.push e fresh
-        | _ -> ())
-      t.queue;
-    Queue.clear t.queue;
-    Queue.transfer fresh t.queue
+let set t i t2 t1 p =
+  t.c2.(i) <- t2;
+  t.c1.(i) <- t1;
+  t.cp.(i) <- p
 
-  let maybe_compact t =
-    let live = Hashtbl.length t.stamps in
-    if Queue.length t.queue - live > max live 32 then compact t
+let move t ~src ~dst = set t dst t.c2.(src) t.c1.(src) t.cp.(src)
 
-  let insert t p =
-    t.clock <- t.clock + 1;
-    Hashtbl.replace t.stamps p t.clock;
-    Queue.push (p, t.clock) t.queue;
-    maybe_compact t
+(* Entry [i] comes before (t2, t1). t1 is a fresh clock value per push,
+   so the order is total and no heap layout can change the pop order. *)
+let before t i t2 t1 = t.c2.(i) < t2 || (t.c2.(i) = t2 && t.c1.(i) < t1)
 
-  let touch t p =
-    if Hashtbl.mem t.stamps p then begin
+(* Hole-based sift-down of the entry (t2, t1, p) from heap slot [i]. *)
+let sift_down t i t2 t1 p =
+  let i = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    let c =
+      if l + 1 < t.len && before t (l + 1) t.c2.(l) t.c1.(l) then l + 1 else l
+    in
+    if c < t.len && before t c t2 t1 then begin
+      move t ~src:c ~dst:!i;
+      i := c
+    end
+    else moving := false
+  done;
+  set t !i t2 t1 p
+
+(* Every access pushes an entry and only [evict] drops stale ones, so a
+   touch-heavy, eviction-free workload would grow the columns without
+   bound. Once stale entries outnumber live pages, filter the live ones
+   in place, in FIFO order, and re-heapify for LRU-2; the [max _ 32]
+   keeps tiny pools from compacting on every touch. *)
+let maybe_compact t =
+  let n = Itab.length t.idx in
+  if t.len - n > max n 32 then begin
+    let mask = Array.length t.cp - 1 and w = ref 0 in
+    for i = 0 to t.len - 1 do
+      let src = (t.head + i) land mask in
+      if live t t.cp.(src) t.c2.(src) t.c1.(src) then begin
+        move t ~src ~dst:((t.head + !w) land mask);
+        incr w
+      end
+    done;
+    t.len <- !w;
+    if t.kind = Lru2 then
+      for i = (t.len / 2) - 1 downto 0 do
+        sift_down t i t.c2.(i) t.c1.(i) t.cp.(i)
+      done
+  end
+
+let push t p t2 t1 =
+  let cap = Array.length t.cp in
+  if t.len = cap then begin
+    let c2 = t.c2 and c1 = t.c1 and cp = t.cp in
+    t.c2 <- Array.make (2 * cap) 0;
+    t.c1 <- Array.make (2 * cap) 0;
+    t.cp <- Array.make (2 * cap) 0;
+    for i = 0 to t.len - 1 do
+      let j = (t.head + i) land (cap - 1) in
+      set t i c2.(j) c1.(j) cp.(j)
+    done;
+    t.head <- 0
+  end;
+  if t.kind = Lru2 then begin
+    let i = ref t.len in
+    while !i > 0 && not (before t ((!i - 1) / 2) t2 t1) do
+      move t ~src:((!i - 1) / 2) ~dst:!i;
+      i := (!i - 1) / 2
+    done;
+    set t !i t2 t1 p
+  end
+  else set t ((t.head + t.len) land (Array.length t.cp - 1)) t2 t1 p;
+  t.len <- t.len + 1;
+  maybe_compact t
+
+(* Drop the first entry: the heap root, or the ring's head. *)
+let pop t =
+  t.len <- t.len - 1;
+  if t.kind = Lru2 then begin
+    if t.len > 0 then sift_down t 0 t.c2.(t.len) t.c1.(t.len) t.cp.(t.len)
+  end
+  else t.head <- (t.head + 1) land (Array.length t.cp - 1)
+
+(* Record an access to the page at index slot [s]. *)
+let access t s p ~first =
+  match t.kind with
+  | Clock -> if first then push t p 0 0 else Itab.set_a t.idx s 1
+  | Lru ->
       t.clock <- t.clock + 1;
-      Hashtbl.replace t.stamps p t.clock;
-      Queue.push (p, t.clock) t.queue;
-      maybe_compact t
-    end
+      Itab.set_a t.idx s t.clock;
+      push t p 0 t.clock
+  | Lru2 ->
+      t.clock <- t.clock + 1;
+      Itab.set_b t.idx s (if first then -1 else Itab.a t.idx s);
+      Itab.set_a t.idx s t.clock;
+      push t p (Itab.b t.idx s) t.clock
 
-  let mem t p = Hashtbl.mem t.stamps p
-
-  let rec evict t =
-    match Queue.take_opt t.queue with
-    | None -> None
-    | Some (p, stamp) -> (
-        match Hashtbl.find_opt t.stamps p with
-        | Some current when current = stamp ->
-            Hashtbl.remove t.stamps p;
-            Some p
-        | _ -> evict t)
-
-  let size t = Hashtbl.length t.stamps
-  let backlog t = Queue.length t.queue
-end
-
-(* --- CLOCK (second chance): FIFO of nodes with reference bits. --- *)
-module Clock_impl = struct
-  type node = { page : page; mutable refbit : bool; mutable dead : bool }
-
-  type t = { nodes : (page, node) Hashtbl.t; ring : node Queue.t }
-
-  let create () = { nodes = Hashtbl.create 256; ring = Queue.create () }
-
-  let insert t p =
-    let n = { page = p; refbit = false; dead = false } in
-    Hashtbl.replace t.nodes p n;
-    Queue.push n t.ring
-
-  let touch t p =
-    match Hashtbl.find_opt t.nodes p with
-    | Some n -> n.refbit <- true
-    | None -> ()
-
-  let mem t p = Hashtbl.mem t.nodes p
-
-  let rec evict t =
-    match Queue.take_opt t.ring with
-    | None -> None
-    | Some n when n.dead -> evict t
-    | Some n when n.refbit ->
-        n.refbit <- false;
-        Queue.push n t.ring;
-        evict t
-    | Some n ->
-        n.dead <- true;
-        Hashtbl.remove t.nodes n.page;
-        Some n.page
-
-  let size t = Hashtbl.length t.nodes
-  let backlog t = Queue.length t.ring
-end
-
-(* --- LRU-2: evict the page with the oldest penultimate access (pages
-   touched only once, t2 = -1, go first in t1 order). Lazily-synced heap
-   keyed by (t2, t1). --- *)
-module Lru2_impl = struct
-  type times = { mutable t1 : int; mutable t2 : int }
-
-  type t = {
-    times : (page, times) Hashtbl.t;
-    heap : (int * int * page) Sim.Heap.t;
-    mutable clock : int;
-  }
-
-  let create () =
-    {
-      times = Hashtbl.create 256;
-      heap = Sim.Heap.create ~cmp:compare ();
-      clock = 0;
-    }
-
-  (* Same lazy-sync bloat as the LRU queue: each touch adds a heap entry
-     and only [evict] discards stale ones. Rebuild the heap from the live
-     entries once stale ones dominate — the comparator is a total order
-     on (t2, t1, page), so re-adding live entries cannot change eviction
-     order. *)
-  let compact t =
-    let entries = Sim.Heap.to_list t.heap in
-    Sim.Heap.clear t.heap;
-    List.iter
-      (fun ((t2, t1, p) as e) ->
-        match Hashtbl.find_opt t.times p with
-        | Some ts when ts.t1 = t1 && ts.t2 = t2 -> Sim.Heap.add t.heap e
-        | _ -> ())
-      entries
-
-  let maybe_compact t =
-    let live = Hashtbl.length t.times in
-    if Sim.Heap.size t.heap - live > max live 32 then compact t
-
-  let push t p (ts : times) = Sim.Heap.add t.heap (ts.t2, ts.t1, p)
-
-  let insert t p =
-    t.clock <- t.clock + 1;
-    let ts = { t1 = t.clock; t2 = -1 } in
-    Hashtbl.replace t.times p ts;
-    push t p ts;
-    maybe_compact t
-
-  let touch t p =
-    match Hashtbl.find_opt t.times p with
-    | None -> ()
-    | Some ts ->
-        t.clock <- t.clock + 1;
-        ts.t2 <- ts.t1;
-        ts.t1 <- t.clock;
-        push t p ts;
-        maybe_compact t
-
-  let mem t p = Hashtbl.mem t.times p
-
-  let rec evict t =
-    if Sim.Heap.is_empty t.heap then None
-    else begin
-      let t2, t1, p = Sim.Heap.pop_exn t.heap in
-      match Hashtbl.find_opt t.times p with
-      | Some ts when ts.t1 = t1 && ts.t2 = t2 ->
-          Hashtbl.remove t.times p;
-          Some p
-      | _ -> evict t
-    end
-
-  let size t = Hashtbl.length t.times
-  let backlog t = Sim.Heap.size t.heap
-end
-
-type t =
-  | T_lru of Lru_impl.t
-  | T_clock of Clock_impl.t
-  | T_lru2 of Lru2_impl.t
-
-let create = function
-  | Lru -> T_lru (Lru_impl.create ())
-  | Clock -> T_clock (Clock_impl.create ())
-  | Lru2 -> T_lru2 (Lru2_impl.create ())
-
-let insert t p =
-  match t with
-  | T_lru x -> Lru_impl.insert x p
-  | T_clock x -> Clock_impl.insert x p
-  | T_lru2 x -> Lru2_impl.insert x p
+let insert t p = access t (Itab.add t.idx p) p ~first:true
 
 let touch t p =
-  match t with
-  | T_lru x -> Lru_impl.touch x p
-  | T_clock x -> Clock_impl.touch x p
-  | T_lru2 x -> Lru2_impl.touch x p
+  let s = Itab.slot t.idx p in
+  if s >= 0 then access t s p ~first:false
 
-let mem t p =
-  match t with
-  | T_lru x -> Lru_impl.mem x p
-  | T_clock x -> Clock_impl.mem x p
-  | T_lru2 x -> Lru2_impl.mem x p
+let mem t p = Itab.slot t.idx p >= 0
 
 let evict t =
-  match t with
-  | T_lru x -> Lru_impl.evict x
-  | T_clock x -> Clock_impl.evict x
-  | T_lru2 x -> Lru2_impl.evict x
+  let victim = ref (-1) in
+  while !victim < 0 && t.len > 0 do
+    let h = t.head in
+    let t2 = t.c2.(h) and t1 = t.c1.(h) and p = t.cp.(h) in
+    pop t;
+    let s = Itab.slot t.idx p in
+    if t.kind = Clock && s >= 0 && Itab.a t.idx s = 1 then begin
+      (* Second chance: clear the bit and requeue. *)
+      Itab.set_a t.idx s 0;
+      push t p 0 0
+    end
+    else if live t p t2 t1 then begin
+      Itab.remove t.idx p;
+      victim := p
+    end
+  done;
+  !victim
 
-let size t =
-  match t with
-  | T_lru x -> Lru_impl.size x
-  | T_clock x -> Clock_impl.size x
-  | T_lru2 x -> Lru2_impl.size x
-
-let backlog t =
-  match t with
-  | T_lru x -> Lru_impl.backlog x
-  | T_clock x -> Clock_impl.backlog x
-  | T_lru2 x -> Lru2_impl.backlog x
-
-let kind = function T_lru _ -> Lru | T_clock _ -> Clock | T_lru2 _ -> Lru2
+let size t = Itab.length t.idx
+let backlog t = t.len
+let kind t = t.kind

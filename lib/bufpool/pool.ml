@@ -43,12 +43,11 @@ let table_id t name =
 let admit t page =
   match Dbmem.Manager.alloc t.clerk t.pbytes with
   | Ok () -> Policy.insert t.policy page
-  | Error `Out_of_memory -> (
-      match Policy.evict t.policy with
-      | Some _victim ->
-          t.evictions <- t.evictions + 1;
-          Policy.insert t.policy page
-      | None -> ())
+  | Error `Out_of_memory ->
+      if Policy.evict t.policy >= 0 then begin
+        t.evictions <- t.evictions + 1;
+        Policy.insert t.policy page
+      end
 
 (* Returns true on hit. On miss the page is admitted but NOT yet read --
    the caller batches the physical transfer. *)
@@ -66,14 +65,19 @@ let access t page =
   end
 
 let read t ~table ~page =
-  if not (access t (table, page)) then Disk.read t.disk ~bytes:t.pbytes
+  if not (access t (Policy.page_id ~table ~page)) then
+    Disk.read t.disk ~bytes:t.pbytes
 
 let flush_misses t n = if n > 0 then Disk.read t.disk ~bytes:(n * t.pbytes)
 
+(* The range's ends are checked once; the pages between them pack to
+   consecutive ids. *)
 let read_range t ~table ~first ~count =
+  let base = Policy.page_id ~table ~page:first in
+  if count > 0 then ignore (Policy.page_id ~table ~page:(first + count - 1));
   let pending = ref 0 in
-  for page = first to first + count - 1 do
-    if not (access t (table, page)) then begin
+  for id = base to base + count - 1 do
+    if not (access t id) then begin
       incr pending;
       if !pending >= t.io_batch_pages then begin
         flush_misses t !pending;
@@ -84,10 +88,12 @@ let read_range t ~table ~first ~count =
   flush_misses t !pending
 
 let read_random t ~table ~pages ~of_pages ~rng =
+  let of_pages = max 1 of_pages in
+  (* Every draw lies in [0, of_pages): checking the largest checks all. *)
+  let base = Policy.page_id ~table ~page:(of_pages - 1) - (of_pages - 1) in
   let pending = ref 0 in
   for _ = 1 to pages do
-    let page = Sim.Rng.int rng (max 1 of_pages) in
-    if not (access t (table, page)) then begin
+    if not (access t (base + Sim.Rng.int rng of_pages)) then begin
       incr pending;
       (* Random pages do not coalesce: smaller batches. *)
       if !pending >= 8 then begin
@@ -102,12 +108,12 @@ let shrink t n =
   let freed = ref 0 in
   let continue = ref true in
   while !freed < n && !continue do
-    match Policy.evict t.policy with
-    | Some _ ->
-        t.evictions <- t.evictions + 1;
-        Dbmem.Manager.free t.clerk t.pbytes;
-        freed := !freed + t.pbytes
-    | None -> continue := false
+    if Policy.evict t.policy >= 0 then begin
+      t.evictions <- t.evictions + 1;
+      Dbmem.Manager.free t.clerk t.pbytes;
+      freed := !freed + t.pbytes
+    end
+    else continue := false
   done;
   !freed
 

@@ -1,6 +1,7 @@
 (** The database page buffer pool.
 
-    The pool caches fixed-size page granules keyed by [(table, page_no)].
+    The pool caches fixed-size page granules keyed by {!Policy.page_id},
+    the table id and page number packed into one int.
     It grows opportunistically — every miss tries to allocate a granule
     from the memory manager — and gives memory back in two ways: its own
     replacement policy recycles granules when allocation fails, and the
@@ -25,7 +26,10 @@ val create :
 val table_id : t -> string -> int
 
 (** [read t ~table ~page] — one page through the cache. Blocks on a miss
-    for the disk transfer. Must run inside a simulation process. *)
+    for the disk transfer. Must run inside a simulation process. Raises
+    [Invalid_argument] when [table] or [page] does not pack (see
+    {!Policy.page_id}); so do {!read_range} and {!read_random} for any
+    page they would read. *)
 val read : t -> table:int -> page:int -> unit
 
 (** [read_range t ~table ~first ~count] reads [count] consecutive pages,

@@ -50,13 +50,21 @@ let slope t =
   if t.size < 2 then None
   else begin
     let n = float_of_int t.size in
-    let sx, sy, sxx, sxy =
-      fold t ~init:(0., 0., 0., 0.) ~f:(fun (sx, sy, sxx, sxy) x y ->
-          (sx +. x, sy +. y, sxx +. (x *. x), sxy +. (x *. y)))
-    in
-    let denom = (n *. sxx) -. (sx *. sx) in
+    (* The same oldest-to-newest sums as [fold], in local float refs the
+       compiler keeps unboxed: no tuple or boxed float per sample. *)
+    let start = if t.size < t.window then 0 else t.next in
+    let sx = ref 0. and sy = ref 0. and sxx = ref 0. and sxy = ref 0. in
+    for i = 0 to t.size - 1 do
+      let idx = (start + i) mod t.window in
+      let x = t.times.(idx) and y = t.values.(idx) in
+      sx := !sx +. x;
+      sy := !sy +. y;
+      sxx := !sxx +. (x *. x);
+      sxy := !sxy +. (x *. y)
+    done;
+    let denom = (n *. !sxx) -. (!sx *. !sx) in
     if Float.abs denom < 1e-12 then None
-    else Some (((n *. sxy) -. (sx *. sy)) /. denom)
+    else Some (((n *. !sxy) -. (!sx *. !sy)) /. denom)
   end
 
 let predict t ~horizon =

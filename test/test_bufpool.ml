@@ -60,26 +60,26 @@ let test_disk_write_accounting () =
 (* ------------------------------------------------------------------ *)
 (* Policies *)
 
-let page i : Policy.page = (0, i)
+let page i = Policy.page_id ~table:0 ~page:i
 
 let test_lru_evicts_oldest () =
   let p = Policy.create Policy.Lru in
   List.iter (fun i -> Policy.insert p (page i)) [ 1; 2; 3 ];
   Policy.touch p (page 1);
   (* Order of last use: 2, 3, 1. *)
-  Alcotest.(check (option (pair int int))) "evict 2" (Some (page 2)) (Policy.evict p);
-  Alcotest.(check (option (pair int int))) "evict 3" (Some (page 3)) (Policy.evict p);
-  Alcotest.(check (option (pair int int))) "evict 1" (Some (page 1)) (Policy.evict p);
-  Alcotest.(check (option (pair int int))) "empty" None (Policy.evict p)
+  Alcotest.(check int) "evict 2" (page 2) (Policy.evict p);
+  Alcotest.(check int) "evict 3" (page 3) (Policy.evict p);
+  Alcotest.(check int) "evict 1" (page 1) (Policy.evict p);
+  Alcotest.(check int) "empty" (-1) (Policy.evict p)
 
 let test_clock_second_chance () =
   let p = Policy.create Policy.Clock in
   List.iter (fun i -> Policy.insert p (page i)) [ 1; 2; 3 ];
   Policy.touch p (page 1);
   (* 1 has its reference bit set: the hand skips it once and takes 2. *)
-  Alcotest.(check (option (pair int int))) "evict 2" (Some (page 2)) (Policy.evict p);
-  Alcotest.(check (option (pair int int))) "evict 3" (Some (page 3)) (Policy.evict p);
-  Alcotest.(check (option (pair int int))) "then 1" (Some (page 1)) (Policy.evict p)
+  Alcotest.(check int) "evict 2" (page 2) (Policy.evict p);
+  Alcotest.(check int) "evict 3" (page 3) (Policy.evict p);
+  Alcotest.(check int) "then 1" (page 1) (Policy.evict p)
 
 let test_lru2_scan_resistance () =
   let p = Policy.create Policy.Lru2 in
@@ -95,8 +95,8 @@ let test_lru2_scan_resistance () =
   (* All ten scan pages must be evicted before either hot page. *)
   for _ = 1 to 10 do
     match Policy.evict p with
-    | Some (_, i) -> Alcotest.(check bool) "scan page first" true (i < 100)
-    | None -> Alcotest.fail "premature empty"
+    | -1 -> Alcotest.fail "premature empty"
+    | i -> Alcotest.(check bool) "scan page first" true (i < page 100)
   done;
   Alcotest.(check int) "hot pages survive" 2 (Policy.size p)
 
@@ -133,7 +133,7 @@ let test_policy_backlog_bounded () =
         (Policy.backlog p <= bound);
       (* Compaction must not disturb eviction: all four pages drain. *)
       let rec drain n =
-        match Policy.evict p with Some _ -> drain (n + 1) | None -> n
+        if Policy.evict p >= 0 then drain (n + 1) else n
       in
       Alcotest.(check int) "all pages still evictable" 4 (drain 0))
     [ Policy.Lru; Policy.Lru2 ]
@@ -153,13 +153,80 @@ let prop_policy_complete_eviction =
       let evicted = ref [] in
       let rec drain () =
         match Policy.evict p with
-        | Some pg ->
+        | -1 -> ()
+        | pg ->
             evicted := pg :: !evicted;
             drain ()
-        | None -> ()
       in
       drain ();
       List.sort compare !evicted = List.init 10 (fun i -> page i))
+
+(* Property: the flat policies answer exactly like the tuple-keyed
+   reference implementations. A seeded stream of insert/touch/mem/evict
+   and shrink-to-k over four table ids (the largest packable among them)
+   and page numbers at both ends of the packed range; an insert of a
+   resident page becomes a touch, as in the pool. Every answer is
+   compared: mem, each victim (the reference's repacked), size and the
+   lazily-cleaned backlog. Streams run long enough to compact. *)
+let prop_flat_policy_matches_reference =
+  QCheck.Test.make ~name:"flat policy = reference (mem, victims, size)"
+    ~count:300
+    QCheck.(pair (int_range 0 2) (int_range 0 1_000_000))
+    (fun (kind_idx, seed) ->
+      let kind = [| Policy.Lru; Policy.Clock; Policy.Lru2 |].(kind_idx) in
+      let rkind =
+        [| Policy_reference.Lru; Policy_reference.Clock; Policy_reference.Lru2 |].(kind_idx)
+      in
+      let flat = Policy.create kind and r = Policy_reference.create rkind in
+      let rng = Sim.Rng.create seed in
+      let tables = [| 0; 1; 5; Policy.max_table |] in
+      let universe = 8 + Sim.Rng.int rng 60 in
+      let draw () =
+        let table = tables.(Sim.Rng.int rng 4) and k = Sim.Rng.int rng universe in
+        let page = if Sim.Rng.bool rng then k else Policy.max_page_no - k in
+        ((table, page), Policy.page_id ~table ~page)
+      in
+      let victim () =
+        let v = Policy.evict flat in
+        match Policy_reference.evict r with
+        | None -> v = -1
+        | Some (table, page) -> v = Policy.page_id ~table ~page
+      in
+      let ok = ref true in
+      for _ = 1 to 200 + Sim.Rng.int rng 800 do
+        (match Sim.Rng.int rng 10 with
+        | 0 | 1 | 2 ->
+            let rp, p = draw () in
+            if Policy_reference.mem r rp then begin
+              Policy_reference.touch r rp;
+              Policy.touch flat p
+            end
+            else begin
+              Policy_reference.insert r rp;
+              Policy.insert flat p
+            end
+        | 3 | 4 | 5 ->
+            let rp, p = draw () in
+            Policy_reference.touch r rp;
+            Policy.touch flat p
+        | 6 | 7 ->
+            let rp, p = draw () in
+            if Policy_reference.mem r rp <> Policy.mem flat p then ok := false
+        | 8 -> if not (victim ()) then ok := false
+        | _ ->
+            let k = Sim.Rng.int rng (1 + Policy_reference.size r) in
+            while Policy_reference.size r > k do
+              if not (victim ()) then ok := false
+            done);
+        if
+          Policy_reference.size r <> Policy.size flat
+          || Policy_reference.backlog r <> Policy.backlog flat
+        then ok := false
+      done;
+      while Policy_reference.size r > 0 do
+        if not (victim ()) then ok := false
+      done;
+      !ok && victim ())
 
 (* ------------------------------------------------------------------ *)
 (* Pool *)
@@ -179,6 +246,41 @@ let in_process eng f =
   Sim.Engine.spawn eng f;
   Sim.Engine.run_all eng;
   Alcotest.(check int) "no failures" 0 (List.length (Sim.Engine.failures eng))
+
+(* The packed id's bounds: each part below zero or above its maximum is
+   rejected, by the packer and by every pool read, instead of colliding
+   with another page's id. *)
+let check_rejected what f =
+  match f () with
+  | () -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+
+let pool_rejects ~table ~page =
+  let _, _, _, pool = make_pool () in
+  let rng = Sim.Rng.create 1 in
+  check_rejected "page_id" (fun () -> ignore (Policy.page_id ~table ~page));
+  check_rejected "read" (fun () -> Pool.read pool ~table ~page);
+  check_rejected "read_range" (fun () ->
+      Pool.read_range pool ~table ~first:(max 0 page - 1) ~count:2);
+  if page >= 0 then
+    check_rejected "read_random" (fun () ->
+        Pool.read_random pool ~table ~pages:1 ~of_pages:(page + 1) ~rng)
+
+let test_page_id_table_below () = pool_rejects ~table:(-1) ~page:0
+let test_page_id_table_above () = pool_rejects ~table:(Policy.max_table + 1) ~page:0
+let test_page_id_page_below () = pool_rejects ~table:0 ~page:(-1)
+let test_page_id_page_above () = pool_rejects ~table:0 ~page:(Policy.max_page_no + 1)
+
+let test_page_id_extremes_distinct () =
+  let top = Policy.page_id ~table:Policy.max_table ~page:Policy.max_page_no in
+  Alcotest.(check bool) "largest id is non-negative" true (top >= 0);
+  Alcotest.(check bool) "last page of one table <> first of the next" true
+    (Policy.page_id ~table:0 ~page:Policy.max_page_no
+    <> Policy.page_id ~table:1 ~page:0);
+  List.iter
+    (fun kind ->
+      check_rejected "insert -1" (fun () -> Policy.insert (Policy.create kind) (-1)))
+    [ Policy.Lru; Policy.Clock; Policy.Lru2 ]
 
 let test_pool_hit_miss_accounting () =
   let eng, _, _, pool = make_pool () in
@@ -335,5 +437,11 @@ let suite =
     ("pool demand hint", `Quick, test_pool_demand_hint);
     ("pool read_random bounds", `Quick, test_pool_read_random_in_bounds);
     ("pool lru2 protects hot set", `Quick, test_pool_lru2_protects_hot_set);
+    ("page id table below 0", `Quick, test_page_id_table_below);
+    ("page id table above max", `Quick, test_page_id_table_above);
+    ("page id page below 0", `Quick, test_page_id_page_below);
+    ("page id page above max", `Quick, test_page_id_page_above);
+    ("page id extremes distinct", `Quick, test_page_id_extremes_distinct);
     QCheck_alcotest.to_alcotest prop_policy_complete_eviction;
+    QCheck_alcotest.to_alcotest prop_flat_policy_matches_reference;
   ]

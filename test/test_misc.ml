@@ -175,9 +175,29 @@ let test_config_pp_exact () =
       adaptive-queues=true deadline-shed=true detector=true warm-prime=4")
     (pp { (Server.Config.default ()) with defense = Server.Config.defended })
 
+(* ------------------------------------------------------------------ *)
+(* Perf measurement *)
+
+(* The perf ratchet diffs bytes/op against a committed baseline, so the
+   counter must be exact: two back-to-back measurements of one
+   deterministic kernel (minor-heap lists, a major-heap array) agree to
+   the byte. *)
+let test_time_bench_alloc_exact () =
+  let kernel () =
+    let l = List.init 3_000 (fun i -> (i, float_of_int i)) in
+    let a = Array.make 100_000 (List.length l) in
+    Array.length a
+  in
+  let first = Perfkit.time_bench ~name:"k" ~iters:7 kernel in
+  let second = Perfkit.time_bench ~name:"k" ~iters:7 kernel in
+  Alcotest.(check bool) "allocates" true (first.Perfkit.alloc_bytes_per_op > 0.);
+  Alcotest.(check (float 0.)) "bytes/op repeat exactly"
+    first.Perfkit.alloc_bytes_per_op second.Perfkit.alloc_bytes_per_op
+
 let suite =
   [
     ("metrics recording", `Quick, test_metrics_recording);
+    ("time_bench bytes/op exact", `Quick, test_time_bench_alloc_exact);
     ("metrics memory watch", `Quick, test_metrics_memory_watch);
     ("sparkline", `Quick, test_sparkline);
     ("result row shape", `Quick, test_result_row_shape);

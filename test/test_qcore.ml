@@ -115,6 +115,65 @@ let prop_trend_slope_recovers_line =
       | Some s -> Float.abs (s -. m) < 1e-6 +. (1e-9 *. Float.abs m)
       | None -> false)
 
+(* The fold-based least-squares fit [Trend.slope] used before it became
+   a loop: a tuple of four sums per sample, oldest to newest. *)
+let reference_slope samples =
+  let n = float_of_int (List.length samples) in
+  if List.length samples < 2 then None
+  else begin
+    let sx, sy, sxx, sxy =
+      List.fold_left
+        (fun (sx, sy, sxx, sxy) (x, y) ->
+          (sx +. x, sy +. y, sxx +. (x *. x), sxy +. (x *. y)))
+        (0., 0., 0., 0.) samples
+    in
+    let denom = (n *. sxx) -. (sx *. sx) in
+    if Float.abs denom < 1e-12 then None
+    else Some (((n *. sxy) -. (sx *. sy)) /. denom)
+  end
+
+let reference_predict samples ~horizon =
+  match List.rev samples with
+  | [] -> None
+  | (_, v) :: _ -> (
+      match reference_slope samples with
+      | None -> Some (Float.max 0. v)
+      | Some s -> Some (Float.max 0. (v +. (s *. horizon))))
+
+let same_bits a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> false
+
+(* Property: the loop fit is bit-identical to the fold on random series
+   with nondecreasing times (repeats included), after every sample, as
+   the window fills and then slides. *)
+let prop_trend_loop_matches_fold =
+  QCheck.Test.make ~name:"trend loop slope/predict = fold (bit-identical)"
+    ~count:300
+    QCheck.(pair (int_range 2 12) (int_range 0 1_000_000))
+    (fun (window, seed) ->
+      let rng = Sim.Rng.create seed in
+      let t = Trend.create ~window () in
+      let samples = ref [] and time = ref (Sim.Rng.float rng 1e4) in
+      let ok = ref true in
+      for _ = 1 to 1 + Sim.Rng.int rng 40 do
+        if Sim.Rng.int rng 4 > 0 then time := !time +. Sim.Rng.float rng 3.;
+        let v = Sim.Rng.float rng 1e10 in
+        Trend.observe t ~time:!time v;
+        samples := !samples @ [ (!time, v) ];
+        if List.length !samples > window then samples := List.tl !samples;
+        let horizon = Sim.Rng.float rng 10. in
+        if
+          not
+            (same_bits (Trend.slope t) (reference_slope !samples)
+            && same_bits (Trend.predict t ~horizon)
+                 (reference_predict !samples ~horizon))
+        then ok := false
+      done;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Broker *)
 
@@ -974,6 +1033,83 @@ let prop_broker_pressure_respects_floors =
       || List.fold_left (fun a (c, _) -> a + Broker.target c) 0 cs <= budget
          && List.for_all (fun (c, f) -> Broker.target c >= f) cs)
 
+(* The broker's target computation as it was before the tick moved to
+   per-component scratch fields: [(key, weight, min_bytes, predicted)]
+   lists, the pressure split's partition rounds and [List.assoc]. *)
+let reference_targets budget items =
+  let total = List.fold_left (fun a (_, _, _, p) -> a + p) 0 items in
+  if total <= budget then begin
+    let slack = budget - total in
+    let weight_sum = List.fold_left (fun a (_, w, _, _) -> a +. w) 0. items in
+    List.map
+      (fun (_, w, mn, p) ->
+        max mn (p + int_of_float (float_of_int slack *. (w /. weight_sum))))
+      items
+  end
+  else begin
+    let rec go budget items acc =
+      match items with
+      | [] -> acc
+      | _ ->
+          let floors = List.fold_left (fun a (_, _, mn, _) -> a + mn) 0 items in
+          if floors >= budget then
+            List.fold_left (fun acc (k, _, mn, _) -> (k, mn) :: acc) acc items
+          else
+            let demand_sum =
+              List.fold_left
+                (fun a (_, w, _, p) -> a +. (w *. float_of_int (max 1 p)))
+                0. items
+            in
+            let share (_, w, _, p) =
+              int_of_float
+                (float_of_int budget *. (w *. float_of_int (max 1 p)) /. demand_sum)
+            in
+            let pinned, rest =
+              List.partition (fun ((_, _, mn, _) as it) -> share it < mn) items
+            in
+            if pinned = [] then
+              List.fold_left (fun acc ((k, _, _, _) as it) -> (k, share it) :: acc) acc items
+            else
+              let acc = List.fold_left (fun acc (k, _, mn, _) -> (k, mn) :: acc) acc pinned in
+              let pinned_bytes = List.fold_left (fun a (_, _, mn, _) -> a + mn) 0 pinned in
+              go (budget - pinned_bytes) rest acc
+    in
+    let granted = go budget items [] in
+    List.map (fun (k, _, _, _) -> List.assoc k granted) items
+  end
+
+(* Property: on a first tick (prediction = demand) the scratch-field
+   tick hands out exactly the reference's targets, with and without
+   pressure, through any number of pinning rounds. *)
+let prop_broker_targets_match_reference =
+  QCheck.Test.make ~name:"broker targets = list-based reference" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 1 6)
+        (triple (int_range 0 3) (int_range 0 40) (int_range 0 80)))
+    (fun comps ->
+      let _, m, broker = make_broker ~total:(mib 100) () in
+      let weights = [| 0.5; 1.; 2.; 3. |] in
+      let items =
+        List.mapi
+          (fun i (w, min_mib, demand_mib) ->
+            (i, weights.(w), mib min_mib, mib demand_mib))
+          comps
+      in
+      let cs =
+        List.map
+          (fun (i, weight, min_bytes, demand) ->
+            let name = Printf.sprintf "c%d" i in
+            Broker.register broker ~name
+              ~clerk:(Dbmem.Manager.create_clerk m name)
+              ~weight ~min_bytes
+              ~demand:(fun () -> demand)
+              ())
+          items
+      in
+      Broker.tick broker;
+      List.map Broker.target cs
+      = reference_targets (Broker.brokered_bytes broker) items)
+
 let suite =
   [
     ("trend linear series", `Quick, test_trend_linear_series);
@@ -1024,7 +1160,9 @@ let suite =
     ("arbiter offline lends and claws back", `Quick, test_arbiter_offline_lends_and_claws_back);
     QCheck_alcotest.to_alcotest prop_arbiter_plan_invariants;
     QCheck_alcotest.to_alcotest prop_broker_pressure_respects_floors;
+    QCheck_alcotest.to_alcotest prop_broker_targets_match_reference;
     QCheck_alcotest.to_alcotest prop_trend_slope_recovers_line;
+    QCheck_alcotest.to_alcotest prop_trend_loop_matches_fold;
     QCheck_alcotest.to_alcotest prop_gov_respects_slot_limits;
     QCheck_alcotest.to_alcotest prop_gov_thresholds_monotone;
   ]
